@@ -193,6 +193,50 @@ fn queue_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The runner's buffer sweep: one `offer_batch` per queue (buffer after
+/// buffer) against the fused frame-major `offer_batch_bank`, on the same
+/// 4096-frame batch of N = 30 aggregate arrivals at c = 538 — Fig 8's
+/// 9-buffer grid size and a dense 32-buffer grid.
+fn queue_bank(c: &mut Criterion) {
+    const FRAMES: usize = 4_096;
+    let mut rng = Xoshiro256PlusPlus::from_seed_u64(4);
+    let mut proto = vbr_models::IidProcess::new(Marginal::paper_gaussian());
+    let arrivals: Vec<f64> = (0..FRAMES)
+        .map(|_| (0..30).map(|_| proto.next_frame(&mut rng)).sum::<f64>())
+        .collect();
+
+    let mut group = c.benchmark_group("queue_bank");
+    group.throughput(Throughput::Elements(FRAMES as u64));
+    for n in [9usize, 32] {
+        let grid: Vec<FluidQueue> = (0..n)
+            .map(|i| FluidQueue::finite(30.0 * 538.0, 2_000.0 * i as f64 / (n - 1) as f64))
+            .collect();
+        group.bench_function(&format!("per_queue_{n}_buffers"), |b| {
+            b.iter_batched(
+                || grid.clone(),
+                |mut queues| {
+                    for q in queues.iter_mut() {
+                        q.offer_batch(&arrivals);
+                    }
+                    queues
+                },
+                BatchSize::SmallInput,
+            );
+        });
+        group.bench_function(&format!("bank_{n}_buffers"), |b| {
+            b.iter_batched(
+                || grid.clone(),
+                |mut queues| {
+                    FluidQueue::offer_batch_bank(&mut queues, &arrivals);
+                    queues
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 fn analysis_cost(c: &mut Criterion) {
     let z = paper::build_z(0.975);
     let stats = SourceStats::from_process(&z, 32_768);
@@ -217,6 +261,6 @@ fn analysis_cost(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = generator_throughput, batched_generation, e2e_replication, obs_overhead, queue_ablation, analysis_cost
+    targets = generator_throughput, batched_generation, e2e_replication, obs_overhead, queue_ablation, queue_bank, analysis_cost
 }
 criterion_main!(benches);

@@ -26,6 +26,16 @@ impl LossAccount {
     }
 }
 
+/// Queues advanced together per frame by
+/// [`FluidQueue::offer_batch_bank`], chosen by measurement: enough
+/// independent recursions to hide the `max`/`min` latency of each one, and
+/// the fastest width measured. On a 2-vCPU Intel Xeon (x86-64,
+/// default release flags, 4096-frame batches, 2^20 frames) 4, 8, 16 and 32
+/// lanes took about 47, 40, 30 and 38 ns per frame for 32 buffers, against
+/// about 160 ns for one `offer_batch` per queue; for 9 buffers 16 lanes took
+/// about 15 ns against 45.
+pub const BANK_LANES: usize = 16;
+
 /// Frame-level fluid queue with finite or infinite buffer.
 ///
 /// Per frame: total arrivals `X` (cells) drain against capacity `C`
@@ -129,6 +139,53 @@ impl FluidQueue {
         }
         self.workload = w;
         self.account.offered = offered;
+    }
+
+    /// Offers the same batch to every queue of a buffer bank, frame-major.
+    ///
+    /// Each queue ends bit-identical to calling
+    /// [`offer_batch`](Self::offer_batch) on it alone: every lane runs the
+    /// exact per-frame operation sequence of the scalar recursion. What
+    /// changes is the schedule. The queues are swept [`BANK_LANES`] at a
+    /// time, and for each frame every lane of the chunk is advanced before
+    /// the next frame, so the independent `w → max → min` dependency chains
+    /// overlap in the pipeline and vectorise instead of running one buffer
+    /// after another. A short last chunk is padded with scratch lanes whose
+    /// results are discarded, so small grids take the same path. An
+    /// infinite buffer runs as a lane with an infinite bound: `min` never
+    /// binds and the loss term is always `+0.0`, so its account stays as
+    /// `offer_batch` leaves it.
+    pub fn offer_batch_bank(queues: &mut [FluidQueue], arrivals: &[f64]) {
+        for chunk in queues.chunks_mut(BANK_LANES) {
+            // Padding lanes stay all-zero: they see `w = min(x, 0) = 0`
+            // every frame and are never written back.
+            let mut cap = [0.0; BANK_LANES];
+            let mut bound = [0.0; BANK_LANES];
+            let mut w = [0.0; BANK_LANES];
+            let mut offered = [0.0; BANK_LANES];
+            let mut lost = [0.0; BANK_LANES];
+            for (l, q) in chunk.iter().enumerate() {
+                cap[l] = q.capacity;
+                bound[l] = q.buffer.unwrap_or(f64::INFINITY);
+                w[l] = q.workload;
+                offered[l] = q.account.offered;
+                lost[l] = q.account.lost;
+            }
+            for &x in arrivals {
+                debug_assert!(x >= 0.0, "negative arrivals {x}");
+                for l in 0..BANK_LANES {
+                    offered[l] += x;
+                    let unconstrained = (w[l] + x - cap[l]).max(0.0);
+                    lost[l] += (unconstrained - bound[l]).max(0.0);
+                    w[l] = unconstrained.min(bound[l]);
+                }
+            }
+            for (l, q) in chunk.iter_mut().enumerate() {
+                q.workload = w[l];
+                q.account.offered = offered[l];
+                q.account.lost = lost[l];
+            }
+        }
     }
 
     /// Offers a batch and records every post-offer workload in `est` — the
@@ -438,6 +495,102 @@ mod tests {
                 batched.account().lost.to_bits()
             );
         }
+    }
+
+    /// A bank of `n` queues over a grid that starts at a zero buffer and
+    /// spans the typical workload, so both losing and idle lanes occur.
+    fn bank(n: usize) -> Vec<FluidQueue> {
+        (0..n)
+            .map(|i| FluidQueue::finite(100.0, 7.0 * i as f64))
+            .collect()
+    }
+
+    fn assert_same_bits(reference: &[FluidQueue], bank: &[FluidQueue]) {
+        assert_eq!(reference.len(), bank.len());
+        for (i, (a, b)) in reference.iter().zip(bank).enumerate() {
+            assert_eq!(
+                a.workload().to_bits(),
+                b.workload().to_bits(),
+                "workload {i}"
+            );
+            assert_eq!(
+                a.account().offered.to_bits(),
+                b.account().offered.to_bits(),
+                "offered {i}"
+            );
+            assert_eq!(
+                a.account().lost.to_bits(),
+                b.account().lost.to_bits(),
+                "lost {i}"
+            );
+        }
+    }
+
+    /// Bursty arrivals around a capacity of 100 with irrational-ish
+    /// fractions, so every lane accumulates rounding.
+    fn bursty(frames: usize) -> Vec<f64> {
+        (0..frames)
+            .map(|k| {
+                let phase = (k as f64 * 0.731).sin();
+                (100.0 + 90.0 * phase + (k % 7) as f64 * 1.37).max(0.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn offer_batch_bank_matches_per_queue_offer_batch_for_every_bank_size() {
+        let arrivals = bursty(997);
+        for n in [0, 1, 9, 15, 16, 17, 32, 33] {
+            let mut reference = bank(n);
+            for q in reference.iter_mut() {
+                q.offer_batch(&arrivals);
+            }
+            let mut fused = bank(n);
+            FluidQueue::offer_batch_bank(&mut fused, &arrivals);
+            assert_same_bits(&reference, &fused);
+            if n > 1 {
+                // The grid really exercises loss and a zero buffer.
+                assert_eq!(fused[0].buffer(), Some(0.0));
+                assert!(fused[0].account().lost > 0.0, "n={n}: no loss at B=0");
+            }
+        }
+    }
+
+    #[test]
+    fn offer_batch_bank_carries_state_across_calls_and_ignores_empty_batches() {
+        let arrivals = bursty(513);
+        let mut reference = bank(17);
+        for q in reference.iter_mut() {
+            q.offer_batch(&arrivals);
+        }
+        let mut fused = bank(17);
+        FluidQueue::offer_batch_bank(&mut fused, &arrivals[..200]);
+        FluidQueue::offer_batch_bank(&mut fused, &[]);
+        FluidQueue::offer_batch_bank(&mut fused, &arrivals[200..]);
+        assert_same_bits(&reference, &fused);
+    }
+
+    #[test]
+    fn offer_batch_bank_handles_mixed_capacities_and_infinite_buffers() {
+        let arrivals = bursty(300);
+        let make = || {
+            vec![
+                FluidQueue::finite(90.0, 0.0),
+                FluidQueue::infinite(100.0),
+                FluidQueue::finite(110.0, 25.0),
+                FluidQueue::finite(100.0, 0.0),
+                FluidQueue::infinite(95.0),
+            ]
+        };
+        let mut reference = make();
+        for q in reference.iter_mut() {
+            q.offer_batch(&arrivals);
+        }
+        let mut fused = make();
+        FluidQueue::offer_batch_bank(&mut fused, &arrivals);
+        assert_same_bits(&reference, &fused);
+        assert_eq!(fused[1].account().lost, 0.0);
+        assert!(fused[4].workload() > 0.0);
     }
 
     #[test]

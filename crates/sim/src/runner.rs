@@ -475,12 +475,14 @@ fn run_replication_sources(
     let total_frames = config.warmup_frames + config.frames_per_replication;
 
     // Block-oriented hot loop: advance the sources a whole batch of frames
-    // into one aggregate-arrivals buffer, then sweep each queue (and the
-    // BOP estimator) over the batch. Results are bit-identical to the
-    // per-frame loop — sources draw from the shared stream in the same
-    // order, queue recursions accumulate in the same order — the batch form
-    // only hoists dispatch, guard checks and queue state off the per-frame
-    // path.
+    // into one aggregate-arrivals buffer, then sweep the whole finite-buffer
+    // bank over it in one fused frame-major pass (`offer_batch_bank`), scan
+    // every queue with the guard, and run the infinite-buffer BOP queue.
+    // Results are bit-identical to the per-frame loop — sources draw from
+    // the shared stream in the same order, and each queue's recursion runs
+    // the same operations in the same order whatever lane it sits in — the
+    // batch form only hoists dispatch, guard checks and queue state off the
+    // per-frame path and overlaps the buffers' independent recursions.
     // Heartbeats, like the watchdog, need the loop to come up for air often
     // enough to notice the clock.
     let max_batch = if started.is_some() || (heartbeat.is_some() && obs.is_some()) {
@@ -521,8 +523,8 @@ fn run_replication_sources(
         }
         {
             let _s = span!("queue.sweep");
-            for (i, q) in queues.iter_mut().enumerate() {
-                q.offer_batch(batch);
+            FluidQueue::offer_batch_bank(&mut queues, batch);
+            for (i, q) in queues.iter().enumerate() {
                 guard.check_queue(i, q).map_err(RepFailure::Fatal)?;
             }
             if let Some((q, est)) = infinite.as_mut() {
@@ -570,11 +572,15 @@ fn run_replication_sources(
 /// exact order — frame-major, then source — because the runner's common
 /// random numbers are interleaved across sources; handing each source a
 /// whole sub-batch would reorder the draws. Only the single-source case can
-/// therefore use [`FrameProcess::fill_frames`] directly (the dominant win:
-/// homogeneous-model runs are the paper's configuration, and `run`
-/// replications always see one prototype). The multi-source path keeps the
-/// per-source validity check inline so a bad value is still attributed to
-/// its exact source and frame before any later draw is examined.
+/// therefore use [`FrameProcess::fill_frames`] directly: a run of one
+/// source, such as a replayed aggregate trace (`TraceProcess`). The paper's
+/// own configuration, N = 30 sources per mux, never reaches it — `run`
+/// clones the prototype once per source, so Figs 8–10 take the per-frame
+/// interleave below, where generation is ~99.9% of replication time
+/// (batching it needs per-source RNG substreams, a draw-order change). The
+/// multi-source path keeps the per-source validity check inline so a bad
+/// value is still attributed to its exact source and frame before any later
+/// draw is examined.
 fn fill_aggregate_batch(
     sources: &mut [Box<dyn FrameProcess>],
     rng: &mut Xoshiro256PlusPlus,

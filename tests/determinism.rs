@@ -274,6 +274,56 @@ fn batched_runner_thread_count_invariant_on_fig8_models() {
     }
 }
 
+/// The runner sweeps its buffer grid as one fused bank, 16 queues per lane
+/// chunk with a padded last chunk. The queues are independent, so no lane
+/// position or padding lane may leak into a result: on a 33-buffer grid
+/// (two full chunks plus a one-lane remainder) every buffer's pooled
+/// account must equal, bit for bit, a run of that buffer alone with the
+/// same seed — at 1 and 2 worker threads, with BOP tracking on.
+#[test]
+fn buffer_bank_lane_position_is_invisible_to_results() {
+    let proto = paper::build_s(0.975, 3);
+    let grid: Vec<f64> = (0..33).map(|i| 40.0 * i as f64).collect();
+    let cfg = SimConfig {
+        n_sources: 4,
+        capacity_per_source: 538.0,
+        buffers_total: grid.clone(),
+        frames_per_replication: 3_000,
+        warmup_frames: 250,
+        replications: 2,
+        seed: 0xBA4C,
+        ts: 0.04,
+        track_bop: true,
+    };
+    for threads in [1, 2] {
+        let options = RunOptions {
+            threads: Some(threads),
+            ..RunOptions::default()
+        };
+        let bank = run(&proto, &cfg, &options).expect("bank run");
+        assert_eq!(bank.per_buffer.len(), grid.len());
+        assert!(bank.per_buffer[0].pooled.lost > 0.0, "grid must see loss");
+        for (i, &b) in grid.iter().enumerate() {
+            let single_cfg = SimConfig {
+                buffers_total: vec![b],
+                ..cfg.clone()
+            };
+            let single = run(&proto, &single_cfg, &options).expect("single-buffer run");
+            let (x, y) = (&bank.per_buffer[i].pooled, &single.per_buffer[0].pooled);
+            assert_eq!(
+                x.offered.to_bits(),
+                y.offered.to_bits(),
+                "threads={threads} buffer {i}: offered"
+            );
+            assert_eq!(
+                x.lost.to_bits(),
+                y.lost.to_bits(),
+                "threads={threads} buffer {i}: lost"
+            );
+        }
+    }
+}
+
 /// The two new LRD families ride the same checkpoint/resume contract as the
 /// paper models: kill after 2 of 4 replications, resume, and every account is
 /// bit-identical to an uninterrupted run. Exercises the Clegg equilibrium

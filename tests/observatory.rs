@@ -130,8 +130,9 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn worker_streams_are_stamped_with_ts_and_shard() {
     let dir = temp_dir("stamps");
-    // Fast heartbeats so even a debug-profile run emits several per shard.
-    let out = campaign_cmd(&dir, "20000", "10").output().expect("run campaign");
+    // 1 ms heartbeats so even an optimised build, whose replications of
+    // 20000 frames finish in a few milliseconds, emits several per shard.
+    let out = campaign_cmd(&dir, "20000", "1").output().expect("run campaign");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     for shard in 0..2usize {
@@ -213,8 +214,9 @@ fn serve_answers_a_live_scrape() {
     let port = 21000 + (std::process::id() % 20000) as u16;
     let addr = format!("127.0.0.1:{port}");
     // Enough frames that the campaign is still running when the scrape
-    // lands (the endpoint stays up for the whole run either way).
-    let mut child = campaign_cmd(&dir, "200000", "100")
+    // lands, also in an optimised build (the endpoint stays up for the
+    // whole run either way).
+    let mut child = campaign_cmd(&dir, "1000000", "100")
         .arg("--serve")
         .arg(&addr)
         .spawn()

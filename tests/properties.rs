@@ -59,6 +59,48 @@ proptest! {
         prop_assert!(large.account().lost <= small.account().lost + 1e-9);
     }
 
+    /// The fused buffer-bank sweep is bit-identical to one `offer_batch` per
+    /// queue on any sorted buffer grid, any bank size (full lane chunks,
+    /// padded remainders) and any split of the batch into two calls. One
+    /// burst frame above capacity plus the largest buffer makes every
+    /// queue lose, so the loss accumulators are exercised on every lane.
+    #[test]
+    fn offer_batch_bank_bit_identical_to_per_queue(
+        capacity in 10.0f64..1000.0,
+        mut grid in proptest::collection::vec(0.0f64..4000.0, 0..40),
+        mut arrivals in proptest::collection::vec(0.0f64..3000.0, 1..300),
+        burst_at in 0usize..300,
+        split_at in 0usize..301,
+    ) {
+        grid.sort_by(f64::total_cmp);
+        let top = grid.last().copied().unwrap_or(0.0);
+        let at = burst_at % arrivals.len();
+        arrivals.insert(at, capacity + top + 1.0);
+        let split = split_at.min(arrivals.len());
+
+        let make = || -> Vec<FluidQueue> {
+            grid.iter().map(|&b| FluidQueue::finite(capacity, b)).collect()
+        };
+        let mut reference = make();
+        for q in reference.iter_mut() {
+            q.offer_batch(&arrivals);
+        }
+        let mut fused = make();
+        FluidQueue::offer_batch_bank(&mut fused, &arrivals[..split]);
+        FluidQueue::offer_batch_bank(&mut fused, &arrivals[split..]);
+        for (i, (a, b)) in reference.iter().zip(&fused).enumerate() {
+            prop_assert!(b.account().lost > 0.0, "buffer {} saw no loss", i);
+            prop_assert_eq!(a.workload().to_bits(), b.workload().to_bits(), "workload {}", i);
+            prop_assert_eq!(
+                a.account().offered.to_bits(),
+                b.account().offered.to_bits(),
+                "offered {}",
+                i
+            );
+            prop_assert_eq!(a.account().lost.to_bits(), b.account().lost.to_bits(), "lost {}", i);
+        }
+    }
+
     /// DAR(p) ACFs are valid correlation sequences: r(0)=1, |r(k)|<=1, and
     /// the implied Toeplitz matrix is positive semi-definite (checked via
     /// Levinson-Durbin not rejecting).
