@@ -1,6 +1,6 @@
 //! Effective bandwidth and connection admission control (CAC).
 //!
-//! The paper's motivating application (via Elwalid et al. [6]): an ATM switch
+//! The paper's motivating application (via Elwalid et al. \[6\]): an ATM switch
 //! must decide in real time how many VBR video connections fit on a link
 //! given a buffer and a loss target. This module inverts the Bahadur–Rao /
 //! large-N asymptotics to answer exactly that, and provides the classic

@@ -219,8 +219,8 @@ impl CirculantGenerator {
     /// Generates one exact block of `block_len` samples with the embedded
     /// autocovariance (mean zero).
     ///
-    /// Allocating convenience wrapper over [`generate_into`]
-    /// (`CirculantGenerator::generate_into`); draw-for-draw identical.
+    /// Allocating convenience wrapper over [`Self::generate_into`];
+    /// draw-for-draw identical.
     pub fn generate(&self, rng: &mut dyn RngCore) -> Vec<f64> {
         let mut out = vec![0.0; self.block_len];
         let mut scratch = CirculantScratch::new();

@@ -78,7 +78,7 @@ impl HeavyTailedSojourn {
         self.a
     }
 
-    /// Mean sojourn E[T] (sec). The variance is infinite by design.
+    /// Mean sojourn E\[T\] (sec). The variance is infinite by design.
     pub fn mean(&self) -> f64 {
         self.mean
     }

@@ -15,13 +15,13 @@
 //!   single-long-replication shard keeps beating); silence past the deadline
 //!   means the worker is hung and gets killed; a dead worker whose shard
 //!   checkpoint is incomplete is restarted with backoff
-//!   ([`RetryPolicy`](crate::retry::RetryPolicy)) and resumes from that
+//!   ([`RetryPolicy`]) and resumes from that
 //!   checkpoint; a shard that keeps failing is **quarantined** — its
 //!   checkpointed replications still enter the merge, and the shortfall is
 //!   recorded in [`Provenance`], never papered over.
 //! * The merge unions every shard's per-replication results and runs the
 //!   *same* outcome assembly a single-process run uses
-//!   ([`collect_outcome`](crate::runner::collect_outcome)) — pooled CLR is a
+//!   (`runner::collect_outcome`) — pooled CLR is a
 //!   union of per-replication accounts, so the campaign result is
 //!   bit-identical to one process running all replications.
 //!

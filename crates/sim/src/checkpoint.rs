@@ -17,7 +17,7 @@
 //! renamed into place so a crash never corrupts an existing good checkpoint.
 //!
 //! Saves additionally **rotate**: the previous good checkpoint survives as a
-//! `.prev` sibling, and [`load_with_fallback`] degrades a corrupt primary to
+//! `.prev` sibling, and `load_with_fallback` degrades a corrupt primary to
 //! that previous version (or a fresh start) with a recorded event instead of
 //! failing the run — a supervisor restarting a crashed worker must never be
 //! stopped by the wreckage the crash left behind.

@@ -4,7 +4,7 @@
 //! §5.5 ("for each of the four models we run 60 replications, each of which
 //! generates half a million frames").
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`queue`] — the frame-level **fluid queue**. With all sources' frames
 //!   aligned and cells deterministically smoothed over the frame duration
@@ -52,7 +52,6 @@ pub mod priority;
 pub mod queue;
 pub mod retry;
 pub mod runner;
-pub mod switch;
 pub mod trace;
 
 pub use vbr_obs as obs;
@@ -70,7 +69,6 @@ pub use checkpoint::{
 pub use error::{CheckpointErrorKind, FaultSite, NumericFault, SimError};
 pub use guard::Guard;
 pub use priority::PriorityQueue;
-pub use switch::{OutputQueuedSwitch, PortConfig};
 pub use trace::TraceProcess;
 pub use queue::{BopEstimator, FluidQueue, LossAccount};
 pub use retry::RetryPolicy;

@@ -1,9 +1,9 @@
 //! Fault-tolerant parallel replication harness.
 //!
 //! Reproduces the paper's measurement protocol: independent replications of
-//! a multiplexer of N homogeneous sources, CLR estimated per buffer size,
-//! replication-level Student-t confidence intervals. Engineering choices
-//! worth noting:
+//! a multiplexer of N sources (N copies of one model, or a [`SourceMix`]),
+//! CLR estimated per buffer size, replication-level Student-t confidence
+//! intervals. Engineering choices worth noting:
 //!
 //! * **Common random numbers across buffer sizes** — every finite-buffer
 //!   queue in the sweep consumes the *same* arrival stream within a
@@ -19,7 +19,7 @@
 //!   exhausted watchdog budgets all surface as [`SimError`].
 //! * **Checkpoint/resume** — with a [`CheckpointPolicy`], completed
 //!   replications are persisted and a killed run resumes bit-identically
-//!   (see the [`checkpoint`](crate::checkpoint) module).
+//!   (see the [`checkpoint`] module).
 //! * **Watchdog degradation** — with a [`Watchdog`], a run that overruns its
 //!   budget returns the replications it finished, with the shortfall
 //!   recorded in [`Provenance`] instead of being silently absorbed.
@@ -56,7 +56,8 @@ const BATCH_FRAMES: usize = 4096;
 /// Configuration of one CLR experiment.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Number of multiplexed homogeneous sources (the paper uses N = 30).
+    /// Number of multiplexed homogeneous sources (the paper uses N = 30);
+    /// [`run_mix`] replaces it with the mix total.
     pub n_sources: usize,
     /// Per-source bandwidth c (cells/frame); total capacity is `N·c`.
     pub capacity_per_source: f64,
@@ -378,10 +379,10 @@ enum RepFailure {
     TimedOut,
 }
 
-/// A heterogeneous source mix: `count` copies of each prototype. The
-/// `n_sources` field of the config is ignored in favour of the mix total
-/// (but `capacity_per_source` still scales by the config's `n_sources` so
-/// the operating point stays explicit).
+/// A source mix: `count` copies of each prototype. A homogeneous run is the
+/// one-group mix `(prototype, config.n_sources)`. The runner overrides the
+/// config's `n_sources` with the mix total, so `capacity_per_source` scales
+/// by that total: the link carries `total() · capacity_per_source`.
 pub struct SourceMix<'a> {
     /// (prototype, how many copies) pairs.
     pub groups: Vec<(&'a dyn FrameProcess, usize)>,
@@ -412,30 +413,25 @@ impl<'a> SourceMix<'a> {
             .sum()
     }
 
-    fn instantiate(&self) -> Vec<Box<dyn FrameProcess>> {
-        let mut out = Vec::with_capacity(self.total());
-        for &(proto, n) in &self.groups {
-            for _ in 0..n {
-                out.push(proto.boxed_clone());
-            }
-        }
-        out
+    /// One owned copy of every prototype, for one worker thread:
+    /// `FrameProcess` is `Send` but not `Sync`, so workers cannot share the
+    /// borrowed prototypes.
+    fn to_owned_groups(&self) -> Vec<(Box<dyn FrameProcess>, usize)> {
+        self.groups
+            .iter()
+            .map(|&(proto, n)| (proto.boxed_clone(), n))
+            .collect()
     }
 }
 
-fn run_replication(
-    prototype: &dyn FrameProcess,
-    config: &SimConfig,
-    rep: usize,
-    root: &Xoshiro256PlusPlus,
-    watchdog: &Watchdog,
-    heartbeat: Option<Duration>,
-    obs: Option<&ObsCtx>,
-) -> Result<RepResult, RepFailure> {
-    let sources: Vec<Box<dyn FrameProcess>> = (0..config.n_sources)
-        .map(|_| prototype.boxed_clone())
-        .collect();
-    run_replication_sources(sources, config, rep, root, watchdog, heartbeat, obs)
+/// The sources of one replication: `count` clones of each group's
+/// prototype, in group order (which fixes each source's index in fault
+/// reports).
+fn instantiate(groups: &[(Box<dyn FrameProcess>, usize)]) -> Vec<Box<dyn FrameProcess>> {
+    groups
+        .iter()
+        .flat_map(|(proto, n)| (0..*n).map(|_| proto.boxed_clone()))
+        .collect()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -699,9 +695,10 @@ fn absorb(
     }
 }
 
-/// Runs the experiment with full fault tolerance: validation, numeric
-/// guardrails, optional checkpoint/resume and watchdog degradation, fanning
-/// replications across threads.
+/// Runs the experiment for `config.n_sources` copies of `prototype`: the
+/// one-group [`SourceMix`] through [`run_mix`], with full fault tolerance
+/// (validation, numeric guardrails, optional checkpoint/resume and watchdog
+/// degradation), fanning replications across threads.
 ///
 /// Deterministic for a fixed `config.seed` independent of thread count; a
 /// resumed run is bit-identical to an uninterrupted one.
@@ -710,6 +707,31 @@ pub fn run(
     config: &SimConfig,
     options: &RunOptions,
 ) -> Result<SimOutcome, SimError> {
+    // Built directly rather than through `SourceMix::new`, so a zero
+    // `n_sources` is reported against that field by `SimConfig::validate`.
+    let mix = SourceMix {
+        groups: vec![(prototype, config.n_sources)],
+    };
+    run_mix(&mix, config, options)
+}
+
+/// Runs a CLR experiment for a mix of sources — e.g. the real CAC situation
+/// where DAR-modelled videoconference sources share a link with LRD movie
+/// sources — with full fault tolerance, fanning replications across
+/// threads. `config.n_sources` is overridden by the mix total, so the link
+/// capacity is `mix.total() · config.capacity_per_source`.
+///
+/// Every replication instantiates the mix afresh and draws from
+/// `root.split(r)`, so results are bit-identical for any thread count and
+/// across checkpoint resume.
+pub fn run_mix(
+    mix: &SourceMix<'_>,
+    config: &SimConfig,
+    options: &RunOptions,
+) -> Result<SimOutcome, SimError> {
+    let mut config = config.clone();
+    config.n_sources = mix.total();
+    let config = &config;
     config.validate()?;
     options.validate_range(config)?;
     let range = options.range(config);
@@ -717,7 +739,14 @@ pub fn run(
     let root = Xoshiro256PlusPlus::from_seed_u64(config.seed);
     let obs = options.recorder.clone().map(ObsCtx::new);
     if let Some(o) = &obs {
-        o.emit(run_start_event(config, options));
+        // `replications` counts what this process runs: the shard range.
+        o.emit(Event::RunStart {
+            seed: config.seed,
+            replications: range.len(),
+            n_sources: config.n_sources,
+            frames_per_replication: config.frames_per_replication,
+            buffers: config.buffers_total.len(),
+        });
     }
 
     // Resume: load completed replications, degrading through the fallback
@@ -771,7 +800,7 @@ pub fn run(
         })
         .clamp(1, remaining.len().max(1));
 
-    let worker = |proto: Box<dyn FrameProcess>| {
+    let worker = |groups: Vec<(Box<dyn FrameProcess>, usize)>| {
         // Each worker thread collects its own span timings; the tables merge
         // into the run's table when the worker drains out.
         if obs.is_some() {
@@ -808,8 +837,8 @@ pub fn run(
             // replication the worker died on.
             fault_plan.maybe_trigger(rep, options.checkpoint.as_ref().map(|p| p.path.as_path()));
             let rep_t0 = Instant::now();
-            let outcome = run_replication(
-                proto.as_ref(),
+            let outcome = run_replication_sources(
+                instantiate(&groups),
                 config,
                 rep,
                 &root,
@@ -839,12 +868,12 @@ pub fn run(
     };
 
     if threads <= 1 || remaining.len() <= 1 {
-        worker(prototype.boxed_clone());
+        worker(mix.to_owned_groups());
     } else {
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let proto = prototype.boxed_clone();
-                scope.spawn(|| worker(proto));
+                let groups = mix.to_owned_groups();
+                scope.spawn(|| worker(groups));
             }
         });
     }
@@ -855,144 +884,6 @@ pub fn run(
 
     let state = state.into_inner().unwrap_or_else(|p| p.into_inner());
     finish(config, options, state, &timed_out, &budget_hit, n_resumed, obs)
-}
-
-/// The `run_start` event for a validated config: `replications` counts what
-/// *this* process will run (the shard range, if one is set).
-fn run_start_event(config: &SimConfig, options: &RunOptions) -> Event {
-    Event::RunStart {
-        seed: config.seed,
-        replications: options.range(config).len(),
-        n_sources: config.n_sources,
-        frames_per_replication: config.frames_per_replication,
-        buffers: config.buffers_total.len(),
-    }
-}
-
-/// Runs a CLR experiment for a **heterogeneous** mix of sources — e.g. the
-/// real CAC situation where DAR-modelled videoconference sources share a
-/// link with LRD movie sources. `config.n_sources` is overridden by the mix
-/// total (the per-source capacity is re-interpreted against that total).
-///
-/// Runs replications sequentially (the mix API is used for modest scenario
-/// studies; the homogeneous path has the threaded harness) but supports the
-/// same checkpoint/watchdog options.
-pub fn run_mix(
-    mix: &SourceMix<'_>,
-    config: &SimConfig,
-    options: &RunOptions,
-) -> Result<SimOutcome, SimError> {
-    let mut config = config.clone();
-    config.n_sources = mix.total();
-    config.validate()?;
-    options.validate_range(&config)?;
-    let range = options.range(&config);
-    let root = Xoshiro256PlusPlus::from_seed_u64(config.seed);
-    let obs = options.recorder.clone().map(ObsCtx::new);
-    if let Some(o) = &obs {
-        o.emit(run_start_event(&config, options));
-        span::install();
-    }
-
-    let resumed: BTreeMap<usize, RepResult> = match &options.checkpoint {
-        Some(policy) => {
-            let (results, fallback) = checkpoint::load_with_fallback(&policy.path, &config)?;
-            if let (Some(o), Some(fb)) = (&obs, &fallback) {
-                o.emit(Event::CheckpointFallback {
-                    path: policy.path.display().to_string(),
-                    error: fb.error.clone(),
-                    recovered: fb.recovered,
-                });
-            }
-            results
-                .into_iter()
-                .filter(|(rep, _)| range.contains(rep))
-                .collect()
-        }
-        _ => BTreeMap::new(),
-    };
-    let n_resumed = resumed.len();
-    if n_resumed > 0 {
-        if let (Some(o), Some(policy)) = (&obs, &options.checkpoint) {
-            o.emit(Event::CheckpointResumed {
-                path: policy.path.display().to_string(),
-                replications: n_resumed,
-                fingerprint: checkpoint::config_fingerprint(&config),
-            });
-        }
-    }
-    let state = Mutex::new(RunState {
-        completed: resumed,
-        unsaved: 0,
-    });
-    let timed_out = AtomicUsize::new(0);
-    let budget_hit = AtomicBool::new(false);
-    let run_start = Instant::now();
-
-    for rep in range {
-        {
-            let has_rep = state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .completed
-                .contains_key(&rep);
-            if has_rep {
-                continue;
-            }
-        }
-        if let Some(budget) = options.watchdog.run_budget {
-            let have_one = !state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .completed
-                .is_empty();
-            if run_start.elapsed() > budget && have_one {
-                budget_hit.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
-        if let Some(o) = &obs {
-            o.emit(Event::ReplicationStart {
-                replication: rep,
-                seed: config.seed,
-            });
-        }
-        let rep_t0 = Instant::now();
-        let outcome = run_replication_sources(
-            mix.instantiate(),
-            &config,
-            rep,
-            &root,
-            &options.watchdog,
-            options.heartbeat,
-            obs.as_ref(),
-        );
-        let absorbed = absorb(
-            &state,
-            options,
-            &config,
-            rep,
-            outcome,
-            &timed_out,
-            obs.as_ref(),
-            rep_t0.elapsed(),
-        );
-        if absorbed.is_err() {
-            // The sequential path times its spans on the caller's thread;
-            // uninstall the collector even when the run dies fatally so it
-            // cannot leak into a later run on the same thread.
-            if let Some(o) = &obs {
-                o.merge_spans();
-            }
-        }
-        absorbed?;
-    }
-    if let Some(o) = &obs {
-        o.merge_spans();
-    }
-
-    let state = state.into_inner().unwrap_or_else(|p| p.into_inner());
-    finish(&config, options, state, &timed_out, &budget_hit, n_resumed, obs)
 }
 
 /// Final checkpoint write, degradation accounting and outcome assembly.

@@ -8,8 +8,8 @@
 //! fitting crates, so this crate implements the required numerics from
 //! scratch:
 //!
-//! * [`rng`] — a deterministic, seedable [`Xoshiro256PlusPlus`](rng::Xoshiro256PlusPlus)
-//!   generator plus [`SplitMix64`](rng::SplitMix64) stream-splitting, so every
+//! * [`rng`] — a deterministic, seedable [`Xoshiro256PlusPlus`]
+//!   generator plus [`SplitMix64`] stream-splitting, so every
 //!   experiment in the workspace is exactly reproducible independent of the
 //!   `rand` crate's unstable `StdRng` algorithm.
 //! * [`special`] — error function, log-gamma, and the standard normal
@@ -20,7 +20,7 @@
 //!   means — the FBNDP model draws ~10⁹ Poisson variates per paper-scale
 //!   replication set), exponential, and Pareto-tail distributions, plus a
 //!   Walker–Vose alias table for categorical draws.
-//! * [`fft`] — an iterative radix-2 complex FFT with real-signal helpers,
+//! * [`mod@fft`] — an iterative radix-2 complex FFT with real-signal helpers,
 //!   used by the periodogram Hurst estimator and the Davies–Harte exact
 //!   fractional-Gaussian-noise generator.
 //! * [`linalg`] — Levinson–Durbin recursion for symmetric Toeplitz systems

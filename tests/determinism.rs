@@ -132,6 +132,80 @@ fn checkpoint_resume_is_bit_identical() {
     let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
 }
 
+/// Asserts two outcomes are bit-identical: pooled accounts, CLR means and
+/// the BOP curve.
+fn assert_bit_identical(a: &SimOutcome, b: &SimOutcome, what: &str) {
+    assert_eq!(a.per_buffer.len(), b.per_buffer.len(), "{what}");
+    for (x, y) in a.per_buffer.iter().zip(&b.per_buffer) {
+        assert_eq!(x.pooled, y.pooled, "{what}: pooled accounts");
+        assert_eq!(x.clr.mean.to_bits(), y.clr.mean.to_bits(), "{what}: CLR mean");
+    }
+    assert_eq!(a.bop, b.bop, "{what}: BOP curve");
+    assert_eq!(a.frames_total, b.frames_total, "{what}: frames");
+}
+
+/// There is one replication loop: `run` is the one-group `run_mix`, and a
+/// heterogeneous mix gets the same thread-count and resume invariance as a
+/// homogeneous run.
+#[test]
+fn one_runner_path_for_homogeneous_runs_and_mixes() {
+    let z = paper::build_z(0.9);
+    let s = paper::build_s(0.9, 1);
+    let mut cfg = SimConfig {
+        n_sources: 6,
+        capacity_per_source: 538.0,
+        buffers_total: vec![0.0, 300.0, 1200.0],
+        frames_per_replication: 5_000,
+        warmup_frames: 100,
+        replications: 4,
+        seed: 0x0DE_1A7,
+        ts: 0.04,
+        track_bop: true,
+    };
+
+    let homogeneous = run(&z, &cfg, &RunOptions::default()).expect("valid run");
+    let one_group = SourceMix::new(vec![(&z as &dyn FrameProcess, cfg.n_sources)]).expect("mix");
+    let via_mix = run_mix(&one_group, &cfg, &RunOptions::default()).expect("valid mix run");
+    assert_bit_identical(&homogeneous, &via_mix, "run vs one-group run_mix");
+
+    let mix = SourceMix::new(vec![
+        (&z as &dyn FrameProcess, 4),
+        (&s as &dyn FrameProcess, 2),
+    ])
+    .expect("mix");
+    let with_threads = |threads| RunOptions {
+        threads: Some(threads),
+        ..RunOptions::default()
+    };
+    let one = run_mix(&mix, &cfg, &with_threads(1)).expect("1 thread");
+    let two = run_mix(&mix, &cfg, &with_threads(2)).expect("2 threads");
+    assert_bit_identical(&one, &two, "mix at 1 vs 2 threads");
+    assert_ne!(
+        one.per_buffer[0].pooled, homogeneous.per_buffer[0].pooled,
+        "the mix must actually differ from the homogeneous run"
+    );
+
+    let dir = std::env::temp_dir().join("vbr_determinism_mix_ckpt");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("mix.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
+    let opts = RunOptions {
+        checkpoint: Some(CheckpointPolicy::new(&path)),
+        ..with_threads(2)
+    };
+    cfg.replications = 2;
+    run_mix(&mix, &cfg, &opts).expect("first half");
+    assert!(path.exists(), "checkpoint must have been written");
+    cfg.replications = 4;
+    let resumed = run_mix(&mix, &cfg, &opts).expect("resumed mix run");
+    assert_eq!(resumed.provenance.resumed, 2, "2 reps loaded from disk");
+    assert_eq!(resumed.provenance.completed, 4);
+    assert_bit_identical(&one, &resumed, "mix uninterrupted vs resumed");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
+}
+
 /// The batched-generation contract from the pipeline PR: `fill_frames` must
 /// be **bit-identical** to repeated `next_frame` for every model in the
 /// workspace — same values, same RNG draw order. Chunk sizes are chosen to
