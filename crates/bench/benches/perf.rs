@@ -194,9 +194,12 @@ fn queue_ablation(c: &mut Criterion) {
 }
 
 /// The runner's buffer sweep: one `offer_batch` per queue (buffer after
-/// buffer) against the fused frame-major `offer_batch_bank`, on the same
-/// 4096-frame batch of N = 30 aggregate arrivals at c = 538 — Fig 8's
-/// 9-buffer grid size and a dense 32-buffer grid.
+/// buffer) against `offer_batch_bank`, on the same 4096-frame batch of
+/// N = 30 aggregate arrivals, for Fig 8's 9-buffer grid size and a dense
+/// 32-buffer grid. At the paper's c = 538 (ρ ≈ 0.93) the bank's reference
+/// lane is almost always 0 and the buffers are rarely stepped; at c = 476
+/// (ρ ≈ 1.05) the reference never empties and every buffer is stepped on
+/// every frame — the bank's worst case.
 fn queue_bank(c: &mut Criterion) {
     const FRAMES: usize = 4_096;
     let mut rng = Xoshiro256PlusPlus::from_seed_u64(4);
@@ -207,32 +210,34 @@ fn queue_bank(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("queue_bank");
     group.throughput(Throughput::Elements(FRAMES as u64));
-    for n in [9usize, 32] {
-        let grid: Vec<FluidQueue> = (0..n)
-            .map(|i| FluidQueue::finite(30.0 * 538.0, 2_000.0 * i as f64 / (n - 1) as f64))
-            .collect();
-        group.bench_function(&format!("per_queue_{n}_buffers"), |b| {
-            b.iter_batched(
-                || grid.clone(),
-                |mut queues| {
-                    for q in queues.iter_mut() {
-                        q.offer_batch(&arrivals);
-                    }
-                    queues
-                },
-                BatchSize::SmallInput,
-            );
-        });
-        group.bench_function(&format!("bank_{n}_buffers"), |b| {
-            b.iter_batched(
-                || grid.clone(),
-                |mut queues| {
-                    FluidQueue::offer_batch_bank(&mut queues, &arrivals);
-                    queues
-                },
-                BatchSize::SmallInput,
-            );
-        });
+    for (load, per_source) in [("rho0.93", 538.0), ("rho1.05", 476.0)] {
+        for n in [9usize, 32] {
+            let grid: Vec<FluidQueue> = (0..n)
+                .map(|i| FluidQueue::finite(30.0 * per_source, 2_000.0 * i as f64 / (n - 1) as f64))
+                .collect();
+            group.bench_function(&format!("per_queue_{load}_{n}_buffers"), |b| {
+                b.iter_batched(
+                    || grid.clone(),
+                    |mut queues| {
+                        for q in queues.iter_mut() {
+                            q.offer_batch(&arrivals);
+                        }
+                        queues
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+            group.bench_function(&format!("bank_{load}_{n}_buffers"), |b| {
+                b.iter_batched(
+                    || grid.clone(),
+                    |mut queues| {
+                        FluidQueue::offer_batch_bank(&mut queues, &arrivals);
+                        queues
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+        }
     }
     group.finish();
 }

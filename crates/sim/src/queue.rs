@@ -26,14 +26,16 @@ impl LossAccount {
     }
 }
 
-/// Queues advanced together per frame by
-/// [`FluidQueue::offer_batch_bank`], chosen by measurement: enough
-/// independent recursions to hide the `max`/`min` latency of each one, and
-/// the fastest width measured. On a 2-vCPU Intel Xeon (x86-64,
-/// default release flags, 4096-frame batches, 2^20 frames) 4, 8, 16 and 32
-/// lanes took about 47, 40, 30 and 38 ns per frame for 32 buffers, against
-/// about 160 ns for one `offer_batch` per queue; for 9 buffers 16 lanes took
-/// about 15 ns against 45.
+/// Queues [`FluidQueue::offer_batch_bank`] steps together per frame, as one
+/// fused chunk, whenever lanes need an explicit step (an excursion of the
+/// reference above their buffers, or a bank of mixed capacities). Chosen by
+/// measurement: enough independent recursions to hide the `max`/`min`
+/// latency of each one, and the fastest width measured. On a 2-vCPU Intel
+/// Xeon (x86-64, default release flags, 4096-frame batches, 2^20 frames)
+/// stepping every frame, 4, 8, 16 and 32 lanes took about 47, 40, 30 and
+/// 38 ns per frame for 32 buffers, against about 160 ns for one
+/// `offer_batch` per queue; for 9 buffers 16 lanes took about 15 ns
+/// against 45.
 pub const BANK_LANES: usize = 16;
 
 /// Frame-level fluid queue with finite or infinite buffer.
@@ -55,6 +57,12 @@ pub struct FluidQueue {
 impl FluidQueue {
     /// Creates a finite-buffer queue (`buffer` in cells).
     ///
+    /// A `-0.0` buffer is stored as `+0.0`. Both lose the same cells, but
+    /// `min(+0.0, -0.0)` may return either sign, so only a `+0.0` bound
+    /// keeps every workload a `+0.0` when it is zero; the buffer bank's
+    /// reference lane relies on that (see
+    /// [`offer_batch_bank`](Self::offer_batch_bank)).
+    ///
     /// # Panics
     /// Panics on non-positive capacity or negative buffer.
     pub fn finite(capacity_per_frame: f64, buffer: f64) -> Self {
@@ -65,7 +73,7 @@ impl FluidQueue {
         assert!(buffer >= 0.0 && buffer.is_finite(), "invalid buffer {buffer}");
         Self {
             capacity: capacity_per_frame,
-            buffer: Some(buffer),
+            buffer: Some(buffer + 0.0),
             workload: 0.0,
             account: LossAccount::default(),
         }
@@ -141,49 +149,131 @@ impl FluidQueue {
         self.account.offered = offered;
     }
 
-    /// Offers the same batch to every queue of a buffer bank, frame-major.
+    /// Offers the same batch to every queue of a buffer bank.
     ///
     /// Each queue ends bit-identical to calling
-    /// [`offer_batch`](Self::offer_batch) on it alone: every lane runs the
-    /// exact per-frame operation sequence of the scalar recursion. What
-    /// changes is the schedule. The queues are swept [`BANK_LANES`] at a
-    /// time, and for each frame every lane of the chunk is advanced before
-    /// the next frame, so the independent `w → max → min` dependency chains
-    /// overlap in the pipeline and vectorise instead of running one buffer
-    /// after another. A short last chunk is padded with scratch lanes whose
-    /// results are discarded, so small grids take the same path. An
-    /// infinite buffer runs as a lane with an infinite bound: `min` never
-    /// binds and the loss term is always `+0.0`, so its account stays as
-    /// `offer_batch` leaves it.
+    /// [`offer_batch`](Self::offer_batch) on it alone. The bank runs one
+    /// *reference lane* `r ← max(r + x − c, 0)`, the infinite-buffer
+    /// recursion at the bank's capacity, started from the largest lane
+    /// workload, and steps a queue only while it can differ from it:
+    ///
+    /// - A queue whose workload equals `r` stays equal to it, with its loss
+    ///   unchanged, for as long as `r` stays at or below its buffer: it runs
+    ///   the same operations on the same bits, and its loss term is `+0.0`.
+    /// - Float rounding is monotone, so every queue stays at or below `r`.
+    ///   When `r` returns to `0` every queue is `0` too, equal again.
+    ///
+    /// So a queue is stepped only through an *excursion* of `r` (from a
+    /// frame where `r` rises above the smallest buffer until `r` is `0`
+    /// again) whose peak exceeds its buffer, and also through the first
+    /// excursion if it entered the call below the reference. Those steps
+    /// run [`BANK_LANES`] queues at a time, frame-major: for each frame
+    /// every lane of a chunk is advanced before the next frame, so their
+    /// independent recursions overlap and vectorise. At a light load the
+    /// reference is `0` in almost every frame and the sweep costs little
+    /// more than one pass over the batch; at a heavy load it costs one
+    /// serial recursion plus stepping every buffer. `offered` is the same
+    /// sum in every lane, so it is added once per run of queues that enter
+    /// with equal totals, once per call in the runner. A bank of mixed
+    /// capacities has no common reference: every queue is stepped.
+    ///
+    /// Zero workloads are `+0.0` bits on both sides of every comparison:
+    /// `max(·, 0.0)` never returns `-0.0` here, and
+    /// [`finite`](Self::finite) stores a `-0.0` buffer as `+0.0`.
     pub fn offer_batch_bank(queues: &mut [FluidQueue], arrivals: &[f64]) {
-        for chunk in queues.chunks_mut(BANK_LANES) {
-            // Padding lanes stay all-zero: they see `w = min(x, 0) = 0`
-            // every frame and are never written back.
-            let mut cap = [0.0; BANK_LANES];
-            let mut bound = [0.0; BANK_LANES];
-            let mut w = [0.0; BANK_LANES];
-            let mut offered = [0.0; BANK_LANES];
-            let mut lost = [0.0; BANK_LANES];
-            for (l, q) in chunk.iter().enumerate() {
-                cap[l] = q.capacity;
-                bound[l] = q.buffer.unwrap_or(f64::INFINITY);
-                w[l] = q.workload;
-                offered[l] = q.account.offered;
-                lost[l] = q.account.lost;
+        let Some(first) = queues.first() else {
+            return;
+        };
+        let cap = first.capacity;
+        // `offered` does not depend on the buffer: queues that enter with
+        // the same total leave with the same total.
+        let mut previous: Option<(u64, f64)> = None;
+        for q in queues.iter_mut() {
+            let start = q.account.offered.to_bits();
+            let total = match previous {
+                Some((bits, total)) if bits == start => total,
+                _ => arrivals.iter().fold(q.account.offered, |o, &x| o + x),
+            };
+            previous = Some((start, total));
+            q.account.offered = total;
+        }
+        if queues.iter().any(|q| q.capacity != cap) {
+            // No common reference: step every queue.
+            for chunk in queues.chunks_mut(BANK_LANES) {
+                step_lanes(chunk.iter_mut(), arrivals);
             }
-            for &x in arrivals {
-                debug_assert!(x >= 0.0, "negative arrivals {x}");
-                for l in 0..BANK_LANES {
-                    offered[l] += x;
-                    let unconstrained = (w[l] + x - cap[l]).max(0.0);
-                    lost[l] += (unconstrained - bound[l]).max(0.0);
-                    w[l] = unconstrained.min(bound[l]);
+            return;
+        }
+
+        let floor = queues
+            .iter()
+            .map(|q| q.bound())
+            .fold(f64::INFINITY, f64::min);
+        let mut r = queues.iter().map(|q| q.workload).fold(0.0, f64::max);
+        // Queues below the reference at entry (a previous call ended inside
+        // an excursion) are stepped through the first excursion.
+        let mut entry = queues.iter().any(|q| q.workload.to_bits() != r.to_bits());
+        let mut n = 0;
+        loop {
+            if !entry {
+                // Every queue equals `r`: advance it alone until it rises
+                // above the smallest buffer.
+                while n < arrivals.len() {
+                    let x = arrivals[n];
+                    debug_assert!(x >= 0.0, "negative arrivals {x}");
+                    // An empty queue stays `+0.0` under a frame of at most
+                    // `c` (`max(x − c, 0.0)`): skip the serial arithmetic.
+                    if r == 0.0 && x <= cap {
+                        n += 1;
+                        continue;
+                    }
+                    let next = (r + x - cap).max(0.0);
+                    if next > floor {
+                        break;
+                    }
+                    r = next;
+                    n += 1;
+                }
+                if n == arrivals.len() {
+                    for q in queues.iter_mut() {
+                        q.workload = r;
+                    }
+                    return;
                 }
             }
-            for (l, q) in chunk.iter_mut().enumerate() {
-                q.workload = w[l];
-                q.account.offered = offered[l];
-                q.account.lost = lost[l];
+            // An excursion: run `r` until it is 0 again or the batch ends,
+            // then step every queue it may have moved.
+            let (start, r_start, mut peak) = (n, r, r);
+            while n < arrivals.len() {
+                let x = arrivals[n];
+                debug_assert!(x >= 0.0, "negative arrivals {x}");
+                r = (r + x - cap).max(0.0);
+                peak = peak.max(r);
+                n += 1;
+                if r == 0.0 {
+                    break;
+                }
+            }
+            // A queue the excursion leaves coupled takes `r` now: at the
+            // batch end it is the queue's workload; otherwise the next
+            // excursion or the batch end overwrites it.
+            let lanes = queues.iter_mut().filter_map(|q| {
+                let below = entry && q.workload.to_bits() != r_start.to_bits();
+                if below || q.bound() < peak {
+                    if !below {
+                        // Coupled until this excursion.
+                        q.workload = r_start;
+                    }
+                    Some(q)
+                } else {
+                    q.workload = r;
+                    None
+                }
+            });
+            step_lanes(lanes, &arrivals[start..n]);
+            entry = false;
+            if n == arrivals.len() {
+                return;
             }
         }
     }
@@ -242,6 +332,11 @@ impl FluidQueue {
         self.buffer
     }
 
+    /// The buffer as the recursion's upper bound (`+∞` when infinite).
+    fn bound(&self) -> f64 {
+        self.buffer.unwrap_or(f64::INFINITY)
+    }
+
     /// Clears workload and counters (fresh replication).
     pub fn reset(&mut self) {
         self.workload = 0.0;
@@ -253,6 +348,46 @@ impl FluidQueue {
     /// queue without counting warmup traffic.
     pub fn clear_accounts(&mut self) {
         self.account = LossAccount::default();
+    }
+}
+
+/// Steps `lanes` through `arrivals` [`BANK_LANES`] at a time, frame-major:
+/// for each frame every lane of a chunk takes one step of
+/// [`FluidQueue::offer_batch`]'s recursion before the next frame, so the
+/// lanes' independent `w → max → min` chains overlap in the pipeline and
+/// vectorise. A short chunk is padded with all-zero scratch lanes (they see
+/// `w = min(x, 0) = 0` every frame) that are never written back. An
+/// infinite buffer runs with a bound of `+∞`: `min` never binds and the
+/// loss term is always `+0.0`. `offered` is left to the caller.
+fn step_lanes<'a>(mut lanes: impl Iterator<Item = &'a mut FluidQueue>, arrivals: &[f64]) {
+    loop {
+        let mut chunk: [Option<&mut FluidQueue>; BANK_LANES] =
+            std::array::from_fn(|_| lanes.next());
+        if chunk[0].is_none() {
+            return;
+        }
+        let mut cap = [0.0; BANK_LANES];
+        let mut bound = [0.0; BANK_LANES];
+        let mut w = [0.0; BANK_LANES];
+        let mut lost = [0.0; BANK_LANES];
+        for (l, q) in chunk.iter().flatten().enumerate() {
+            cap[l] = q.capacity;
+            bound[l] = q.bound();
+            w[l] = q.workload;
+            lost[l] = q.account.lost;
+        }
+        for &x in arrivals {
+            debug_assert!(x >= 0.0, "negative arrivals {x}");
+            for l in 0..BANK_LANES {
+                let unconstrained = (w[l] + x - cap[l]).max(0.0);
+                lost[l] += (unconstrained - bound[l]).max(0.0);
+                w[l] = unconstrained.min(bound[l]);
+            }
+        }
+        for (l, q) in chunk.iter_mut().flatten().enumerate() {
+            q.workload = w[l];
+            q.account.lost = lost[l];
+        }
     }
 }
 
@@ -295,8 +430,14 @@ impl BopEstimator {
     #[inline]
     pub fn observe(&mut self, workload: f64) {
         // First index whose threshold is >= workload: workload exceeds all
-        // thresholds before it.
-        let idx = self.thresholds.partition_point(|&t| t < workload);
+        // thresholds before it. An empty queue (anything at or below the
+        // first threshold) is bucket 0 without a search; so is NaN, which
+        // the search also puts there.
+        let idx = if workload <= self.thresholds[0] {
+            0
+        } else {
+            self.thresholds.partition_point(|&t| t < workload)
+        };
         self.buckets[idx] += 1;
         self.total += 1;
     }
@@ -591,6 +732,46 @@ mod tests {
         assert_same_bits(&reference, &fused);
         assert_eq!(fused[1].account().lost, 0.0);
         assert!(fused[4].workload() > 0.0);
+    }
+
+    /// A `-0.0` buffer is stored as `+0.0`, so it loses, offers and leaves
+    /// the same bits as a `0.0` buffer, per queue and in the bank. The
+    /// arrivals end with loss frames between idle ones, and the bank call
+    /// is split around them.
+    #[test]
+    fn negative_zero_buffer_is_bit_identical_to_zero_buffer() {
+        assert_eq!(
+            FluidQueue::finite(100.0, -0.0).buffer().map(f64::to_bits),
+            Some(0.0f64.to_bits())
+        );
+        let mut arrivals = bursty(400);
+        arrivals.extend([150.0, 10.0, 0.0, 20.0, 130.0]);
+        let make = |b: f64| {
+            vec![
+                FluidQueue::finite(100.0, b),
+                FluidQueue::finite(100.0, 7.0),
+                FluidQueue::finite(100.0, b),
+            ]
+        };
+        let mut reference = make(0.0);
+        for q in reference.iter_mut() {
+            q.offer_batch(&arrivals);
+        }
+        assert!(reference[0].account().lost > 0.0);
+        for b in [0.0, -0.0] {
+            let mut per_queue = make(b);
+            for q in per_queue.iter_mut() {
+                q.offer_batch(&arrivals);
+            }
+            assert_same_bits(&reference, &per_queue);
+            let mut fused = make(b);
+            let (head, last) = (arrivals.len() - 5, arrivals.len() - 1);
+            FluidQueue::offer_batch_bank(&mut fused, &arrivals[..head]);
+            assert_eq!(fused[0].workload().to_bits(), 0.0f64.to_bits());
+            FluidQueue::offer_batch_bank(&mut fused, &arrivals[head..last]);
+            FluidQueue::offer_batch_bank(&mut fused, &arrivals[last..]);
+            assert_same_bits(&reference, &fused);
+        }
     }
 
     #[test]

@@ -471,14 +471,17 @@ fn run_replication_sources(
     let total_frames = config.warmup_frames + config.frames_per_replication;
 
     // Block-oriented hot loop: advance the sources a whole batch of frames
-    // into one aggregate-arrivals buffer, then sweep the whole finite-buffer
-    // bank over it in one fused frame-major pass (`offer_batch_bank`), scan
-    // every queue with the guard, and run the infinite-buffer BOP queue.
-    // Results are bit-identical to the per-frame loop — sources draw from
-    // the shared stream in the same order, and each queue's recursion runs
-    // the same operations in the same order whatever lane it sits in — the
-    // batch form only hoists dispatch, guard checks and queue state off the
-    // per-frame path and overlaps the buffers' independent recursions.
+    // into one aggregate-arrivals buffer, offer it to the whole finite-buffer
+    // bank in one call (`offer_batch_bank`), scan every queue with the
+    // guard, and run the infinite-buffer BOP queue. The bank follows one
+    // reference lane (the infinite-buffer recursion) and steps a buffer
+    // only while that lane is above it, so at the paper's loads, where the
+    // queue is empty in almost every frame, the sweep costs about one
+    // serial recursion per frame however many buffers the grid has.
+    // Results are bit-identical to the per-frame loop: sources draw from
+    // the shared stream in the same order, and every queue ends with the
+    // bits its own `offer_batch` would give. The batch form only hoists
+    // dispatch, guard checks and queue state off the per-frame path.
     // Heartbeats, like the watchdog, need the loop to come up for air often
     // enough to notice the clock.
     let max_batch = if started.is_some() || (heartbeat.is_some() && obs.is_some()) {

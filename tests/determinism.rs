@@ -398,6 +398,121 @@ fn buffer_bank_lane_position_is_invisible_to_results() {
     }
 }
 
+/// Runner-level oracle for the buffer bank and the BOP estimator: `run` on
+/// one replayed trace must equal, bit for bit, a test-local loop that fills
+/// the warm-up and the measured frames with `fill_frames`, sweeps every
+/// buffer with its own `offer_batch`, clears the accounts at the warm-up
+/// boundary, and feeds the infinite-buffer queue through `offer_batch` in
+/// the warm-up and `offer_batch_observing` after it. Light load (c above
+/// the mean: the reference lane is mostly 0) and heavy load (c below it:
+/// the reference never empties, and every batch starts inside an
+/// excursion), at 1 and 2 threads, over a 33-buffer grid.
+#[test]
+fn runner_bank_and_bop_match_a_per_queue_oracle_at_light_and_heavy_load() {
+    use vbr_sim::{BopEstimator, FluidQueue, LossAccount, TraceProcess};
+    use vbr_stats::rng::Xoshiro256PlusPlus;
+    use vbr_stats::ConfidenceInterval;
+
+    let mut rng = Xoshiro256PlusPlus::from_seed_u64(0x0AC1E);
+    let mut source = GaussianAr1::new(500.0, 70.0, 0.95);
+    let mut frames = vec![0.0; 20_000];
+    source.fill_frames(&mut frames, &mut rng);
+    let trace = TraceProcess::new(frames.iter().map(|x| x.max(0.0)).collect(), "ar1", 8);
+    let grid: Vec<f64> = (0..33).map(|i| 25.0 * i as f64).collect();
+
+    for capacity in [538.0, 476.0] {
+        let cfg = SimConfig {
+            n_sources: 1,
+            capacity_per_source: capacity,
+            buffers_total: grid.clone(),
+            frames_per_replication: 30_000,
+            warmup_frames: 1_000,
+            replications: 3,
+            seed: 0x0AC1E,
+            ts: 0.04,
+            track_bop: true,
+        };
+
+        let root = Xoshiro256PlusPlus::from_seed_u64(cfg.seed);
+        let mut pooled = vec![LossAccount::default(); grid.len()];
+        let mut clrs = vec![Vec::new(); grid.len()];
+        let mut bop = BopEstimator::new(grid.clone());
+        for rep in 0..cfg.replications {
+            let mut rng = root.split(rep as u64);
+            let mut source = trace.clone();
+            source.reset(&mut rng);
+            let mut queues: Vec<FluidQueue> = grid
+                .iter()
+                .map(|&b| FluidQueue::finite(cfg.total_capacity(), b))
+                .collect();
+            let mut infinite = FluidQueue::infinite(cfg.total_capacity());
+            let mut warmup = vec![0.0; cfg.warmup_frames];
+            source.fill_frames(&mut warmup, &mut rng);
+            for q in queues.iter_mut() {
+                q.offer_batch(&warmup);
+                q.clear_accounts();
+            }
+            infinite.offer_batch(&warmup);
+            let mut measured = vec![0.0; cfg.frames_per_replication];
+            source.fill_frames(&mut measured, &mut rng);
+            let mut est = BopEstimator::new(grid.clone());
+            infinite.offer_batch_observing(&measured, &mut est);
+            bop.merge(&est);
+            for (i, q) in queues.iter_mut().enumerate() {
+                q.offer_batch(&measured);
+                pooled[i].merge(&q.account());
+                clrs[i].push(q.account().clr());
+            }
+        }
+        assert!(
+            pooled[0].lost > 0.0,
+            "c={capacity}: the zero buffer must lose"
+        );
+        if capacity < 500.0 {
+            assert!(
+                pooled[32].lost > 0.0,
+                "c={capacity}: heavy load loses at every buffer"
+            );
+        }
+
+        for threads in [1, 2] {
+            let options = RunOptions {
+                threads: Some(threads),
+                ..RunOptions::default()
+            };
+            let out = run(&trace, &cfg, &options).expect("trace run");
+            for (i, b) in out.per_buffer.iter().enumerate() {
+                let at = format!("c={capacity} threads={threads} buffer {i}");
+                assert_eq!(
+                    b.pooled.offered.to_bits(),
+                    pooled[i].offered.to_bits(),
+                    "{at}: offered"
+                );
+                assert_eq!(
+                    b.pooled.lost.to_bits(),
+                    pooled[i].lost.to_bits(),
+                    "{at}: lost"
+                );
+                let ci = ConfidenceInterval::from_samples(&clrs[i], 0.95);
+                assert_eq!(b.clr.mean.to_bits(), ci.mean.to_bits(), "{at}: CLR mean");
+                assert_eq!(
+                    b.clr.half_width.to_bits(),
+                    ci.half_width.to_bits(),
+                    "{at}: CLR CI"
+                );
+            }
+            let survival: Vec<u64> = out
+                .bop
+                .expect("BOP tracked")
+                .iter()
+                .map(|&(_, p)| p.to_bits())
+                .collect();
+            let expected: Vec<u64> = bop.survival().iter().map(|p| p.to_bits()).collect();
+            assert_eq!(survival, expected, "c={capacity} threads={threads}: BOP");
+        }
+    }
+}
+
 /// The two new LRD families ride the same checkpoint/resume contract as the
 /// paper models: kill after 2 of 4 replications, resume, and every account is
 /// bit-identical to an uninterrupted run. Exercises the Clegg equilibrium

@@ -5,7 +5,7 @@ use vbr_asymptotics::{critical_time_scale, SourceStats, VarianceFunction};
 use vbr_atm::cell::{hec, verify_and_correct, Cell, CellHeader, HecStatus, PayloadType, PAYLOAD_SIZE};
 use vbr_atm::{Gcra, GcraOutcome, Spacer};
 use vbr_models::{DarParams, DarProcess, FrameProcess, Marginal};
-use vbr_sim::FluidQueue;
+use vbr_sim::{BopEstimator, FluidQueue};
 use vbr_stats::linalg::{levinson_durbin, solve_dense, solve_toeplitz};
 use vbr_stats::rng::Xoshiro256PlusPlus;
 
@@ -99,6 +99,132 @@ proptest! {
             );
             prop_assert_eq!(a.account().lost.to_bits(), b.account().lost.to_bits(), "lost {}", i);
         }
+    }
+
+    /// The reference-lane buffer bank is bit-identical to one `offer_batch`
+    /// per queue in every regime that moves lanes off the reference: a
+    /// heavy load whose reference never empties; long idle stretches;
+    /// integer capacities, arrivals and buffers, so `w + x == c` and lanes
+    /// landing exactly on their buffers are common; lanes that enter with
+    /// their own workloads and `offered` totals (each ran its own history
+    /// first, or all ran one history through different buffers); unsorted
+    /// grids with infinite buffers; and a batch split inside an excursion.
+    /// `BopEstimator::observe` files the reference's workloads, every
+    /// threshold, the values between them, zeros, `+∞` and NaN in the
+    /// bucket `partition_point` gives.
+    #[test]
+    fn coupled_bank_and_bop_fast_path_bit_identical_in_every_regime(
+        (integer_capacity, capacity_int, capacity_real) in (any::<bool>(), 1u32..50, 1.0f64..500.0),
+        lanes in proptest::collection::vec((0u8..6, 0u32..60, 0.0f64..400.0), 1..40),
+        heavy in any::<bool>(),
+        segments in proptest::collection::vec((0u8..4, 1usize..1500, any::<u64>()), 1..6),
+        own_history in any::<bool>(),
+        history_len in 0usize..60,
+        history_seed in any::<u64>(),
+        burst_at in 0usize..5000,
+        split_at in 0usize..5000,
+    ) {
+        use rand::RngCore as _;
+        let capacity = if integer_capacity { f64::from(capacity_int) } else { capacity_real };
+        // Half the buffers are integers, one in six is infinite.
+        let grid: Vec<f64> = lanes
+            .iter()
+            .map(|&(kind, int, real)| match kind {
+                0..=2 => f64::from(int),
+                3 | 4 => real,
+                _ => f64::INFINITY,
+            })
+            .collect();
+        // Uniforms in [0, 1) from a seed, so one strategy value expands
+        // into a long segment.
+        let uniforms = |seed: u64, len: usize| -> Vec<f64> {
+            let mut rng = Xoshiro256PlusPlus::from_seed_u64(seed);
+            (0..len).map(|_| (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64).collect()
+        };
+        let mut arrivals = Vec::new();
+        for &(kind, len, seed) in &segments {
+            arrivals.extend(uniforms(seed, len).into_iter().map(|u| match (heavy, kind) {
+                // Mean 1.2 c: once above 0 the reference never empties.
+                (true, _) => capacity * (0.9 + 0.6 * u),
+                // Idle: the queue drains and stays empty.
+                (false, 0) => capacity * 0.5 * u,
+                // Integers around c: exact ties with integer grids.
+                (false, 1) => (u * 3.0 * capacity).floor(),
+                (false, 2) => u * 2.0 * capacity,
+                // Rare bursts over a quiet floor.
+                _ => if u < 0.02 { capacity * (2.0 + 20.0 * u) } else { capacity * 0.9 * u },
+            }));
+        }
+        // A burst above every finite buffer, then a split right after it:
+        // a call ends inside an excursion.
+        let top = grid.iter().copied().filter(|b| b.is_finite()).fold(0.0, f64::max);
+        let at = burst_at % (arrivals.len() + 1);
+        arrivals.insert(at, capacity + top + 1.0);
+        let mut cuts = [at + 1, split_at % (arrivals.len() + 1)];
+        cuts.sort_unstable();
+
+        let make = || -> Vec<FluidQueue> {
+            let mut queues: Vec<FluidQueue> = grid
+                .iter()
+                .map(|&b| if b.is_finite() {
+                    FluidQueue::finite(capacity, b)
+                } else {
+                    FluidQueue::infinite(capacity)
+                })
+                .collect();
+            for (i, q) in queues.iter_mut().enumerate() {
+                let (seed, len) = if own_history {
+                    (history_seed ^ i as u64, (history_len + 7 * i) % 60)
+                } else {
+                    (history_seed, history_len)
+                };
+                let history: Vec<f64> =
+                    uniforms(seed, len).iter().map(|u| u * 3.0 * capacity).collect();
+                q.offer_batch(&history);
+            }
+            queues
+        };
+        let mut reference = make();
+        for q in reference.iter_mut() {
+            q.offer_batch(&arrivals);
+        }
+        let mut bank = make();
+        FluidQueue::offer_batch_bank(&mut bank, &arrivals[..cuts[0]]);
+        FluidQueue::offer_batch_bank(&mut bank, &arrivals[cuts[0]..cuts[1]]);
+        FluidQueue::offer_batch_bank(&mut bank, &arrivals[cuts[1]..]);
+        for (i, (a, b)) in reference.iter().zip(&bank).enumerate() {
+            prop_assert_eq!(a.workload().to_bits(), b.workload().to_bits(), "workload {}", i);
+            prop_assert_eq!(
+                a.account().offered.to_bits(),
+                b.account().offered.to_bits(),
+                "offered {}",
+                i
+            );
+            prop_assert_eq!(a.account().lost.to_bits(), b.account().lost.to_bits(), "lost {}", i);
+        }
+
+        let mut thresholds: Vec<f64> = grid.iter().copied().filter(|b| b.is_finite()).collect();
+        thresholds.push(capacity);
+        thresholds.sort_by(f64::total_cmp);
+        thresholds.dedup();
+        let mut observed: Vec<f64> = thresholds
+            .windows(2)
+            .map(|t| 0.5 * (t[0] + t[1]))
+            .chain(thresholds.iter().copied())
+            .chain([0.0, -0.0, f64::INFINITY, f64::NAN, -1.0])
+            .collect();
+        let mut infinite = FluidQueue::infinite(capacity);
+        for &x in &arrivals {
+            infinite.offer(x);
+            observed.push(infinite.workload());
+        }
+        let mut est = BopEstimator::new(thresholds.clone());
+        let mut expected = vec![0u64; thresholds.len() + 1];
+        for &w in &observed {
+            est.observe(w);
+            expected[thresholds.partition_point(|&t| t < w)] += 1;
+        }
+        prop_assert_eq!(est.buckets(), &expected[..]);
     }
 
     /// DAR(p) ACFs are valid correlation sequences: r(0)=1, |r(k)|<=1, and
