@@ -72,7 +72,7 @@ pub mod prelude {
     pub use vbr_obs::{Event, MemoryRecorder, Recorder, RunSummary, Telemetry};
     pub use vbr_sim::{
         plan_shards, run, run_campaign, run_mix, simulate_clr, simulate_clr_mix, CampaignOptions,
-        CampaignOutcome, CheckpointPolicy, PriorityQueue, Provenance, RetryPolicy, RunOptions,
-        SimConfig, SimError, SimOutcome, SourceMix, Watchdog,
+        CampaignOutcome, CheckpointPolicy, Provenance, RetryPolicy, RunOptions, SimConfig,
+        SimError, SimOutcome, SourceMix, Watchdog,
     };
 }

@@ -26,9 +26,10 @@
 //! what makes dashboard output reproducible from a recorded fixture stream
 //! (the golden-snapshot test relies on it).
 
-use crate::jsonl::parse_flat_object;
+use crate::jsonl::{decode_line, Stamped};
 use crate::metrics::{P2Snapshot, P2Summary};
 use crate::prometheus::{counter, fmt_f64, gauge};
+use crate::recorder::Event;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -251,7 +252,7 @@ impl CampaignAggregator {
         self
     }
 
-    /// Lines ingested / lines skipped (unparseable or missing `type`).
+    /// Lines ingested / lines skipped (not a decodable event line).
     pub fn counts(&self) -> (u64, u64) {
         (self.events, self.skipped)
     }
@@ -282,60 +283,58 @@ impl CampaignAggregator {
     }
 
     /// Ingests one event line. Returns false (and counts the line as
-    /// skipped) if it is not a flat JSON object with a `type` tag.
+    /// skipped) if it does not [decode](crate::jsonl::decode_line) to an
+    /// [`Event`].
     pub fn ingest_line(&mut self, line: &str) -> bool {
-        let Ok(fields) = parse_flat_object(line) else {
+        let Ok(Stamped {
+            event,
+            ts_ms: ts,
+            shard: shard_id,
+        }) = decode_line(line)
+        else {
             self.skipped += 1;
             return false;
         };
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        let get_u64 = |k: &str| get(k).and_then(|v| v.as_u64());
-        let get_usize = |k: &str| get_u64(k).map(|v| v as usize);
-        let Some(kind) = get("type").and_then(|v| v.as_str()) else {
-            self.skipped += 1;
-            return false;
-        };
-        let ts = get_u64("ts_ms");
         if let Some(t) = ts {
             self.max_ts_ms = Some(self.max_ts_ms.map_or(t, |m| m.max(t)));
         }
-        let shard_id = get_usize("shard");
 
         // Campaign-level accumulators first — they apply whether or not the
         // line is shard-attributed.
-        match kind {
-            "campaign_start" => {
+        match event {
+            Event::CampaignStart {
+                shards,
+                replications,
+            } => {
                 self.start_ms = self.start_ms.or(ts);
-                if let Some(r) = get_usize("replications") {
-                    self.requested = self.requested.max(r);
-                }
-                if let Some(n) = get_usize("shards") {
-                    for i in 0..n {
-                        self.shards.entry(i).or_insert_with(|| ShardStatus::new(i));
-                    }
+                self.requested = self.requested.max(replications);
+                for i in 0..shards {
+                    self.shards.entry(i).or_insert_with(|| ShardStatus::new(i));
                 }
             }
-            "campaign_end" => {
+            Event::CampaignEnd {
+                requested,
+                completed,
+                ..
+            } => {
                 self.end_ms = self.end_ms.or(ts).or(self.max_ts_ms);
-                if let Some(r) = get_usize("requested") {
-                    self.requested = self.requested.max(r);
-                }
-                self.final_completed = get_usize("completed").or(self.final_completed);
+                self.requested = self.requested.max(requested);
+                self.final_completed = Some(completed);
             }
-            "replication_end" => {
-                if let Some(ns) = get_u64("duration_ns") {
-                    self.rep_durations.observe(ns as f64 / 1e9);
-                }
-                if let Some(clr) = get("clr_b0").and_then(|v| v.as_f64()) {
-                    if clr.is_finite() {
-                        self.clr_sum += clr;
-                        self.clr_count += 1;
-                    }
+            Event::ReplicationEnd {
+                duration_ns,
+                clr_b0,
+                ..
+            } => {
+                self.rep_durations.observe(duration_ns as f64 / 1e9);
+                if clr_b0.is_finite() {
+                    self.clr_sum += clr_b0;
+                    self.clr_count += 1;
                 }
             }
-            "worker_restarted" => self.restarts += 1,
-            "worker_stalled" => self.stalls += 1,
-            "checkpoint_fallback" => self.fallbacks += 1,
+            Event::WorkerRestarted { .. } => self.restarts += 1,
+            Event::WorkerStalled { .. } => self.stalls += 1,
+            Event::CheckpointFallback { .. } => self.fallbacks += 1,
             _ => {}
         }
 
@@ -346,86 +345,77 @@ impl CampaignAggregator {
                 .entry(idx)
                 .or_insert_with(|| ShardStatus::new(idx));
             st.touch(ts);
-            match kind {
-                "run_start" => {
-                    if let Some(r) = get_usize("replications") {
-                        st.requested = st.requested.max(r);
-                    }
+            match event {
+                Event::RunStart { replications, .. } => {
+                    st.requested = st.requested.max(replications);
                     st.advance(ShardPhase::Running);
                 }
-                "replication_start" => {
-                    st.current_replication = get_usize("replication").or(st.current_replication);
+                Event::ReplicationStart { replication, .. } => {
+                    st.current_replication = Some(replication);
                     st.current_frame = 0;
                     st.advance(ShardPhase::Running);
                 }
-                "heartbeat" => {
-                    st.current_replication = get_usize("replication").or(st.current_replication);
-                    if let Some(f) = get_u64("frame") {
-                        st.current_frame = st.current_frame.max(f);
-                    }
+                Event::Heartbeat { replication, frame } => {
+                    st.current_replication = Some(replication);
+                    st.current_frame = st.current_frame.max(frame);
                     st.advance(ShardPhase::Running);
                 }
-                "replication_end" => {
+                Event::ReplicationEnd { .. } => {
                     st.advance(ShardPhase::Running);
                 }
-                "progress" => {
-                    if let Some(c) = get_usize("completed") {
-                        st.completed = st.completed.max(c);
-                    }
-                    if let Some(r) = get_usize("requested") {
-                        st.requested = st.requested.max(r);
-                    }
+                Event::Progress {
+                    completed,
+                    requested,
+                } => {
+                    st.completed = st.completed.max(completed);
+                    st.requested = st.requested.max(requested);
                 }
-                "checkpoint_fallback" => st.fallbacks += 1,
-                "worker_spawned" => {
-                    if let Some(a) = get_u64("attempt") {
-                        st.attempts = st.attempts.max(a as u32);
-                    }
+                Event::CheckpointFallback { .. } => st.fallbacks += 1,
+                Event::WorkerSpawned { attempt, .. } => {
+                    st.attempts = st.attempts.max(attempt);
                     st.advance(ShardPhase::Running);
                 }
-                "worker_stalled" => {
+                Event::WorkerStalled { .. } => {
                     st.stalls += 1;
                     st.advance(ShardPhase::Stalled);
                 }
-                "worker_restarted" => {
+                Event::WorkerRestarted { attempt, .. } => {
                     st.restarts += 1;
-                    if let Some(a) = get_u64("attempt") {
-                        st.attempts = st.attempts.max(a as u32);
-                    }
+                    st.attempts = st.attempts.max(attempt);
                     st.advance(ShardPhase::Restarting);
                 }
-                "shard_completed" => {
-                    if let Some(r) = get_usize("replications") {
-                        st.completed = st.completed.max(r);
-                        st.requested = st.requested.max(r);
-                    }
-                    if let Some(a) = get_u64("attempts") {
-                        st.attempts = st.attempts.max(a as u32);
-                    }
+                Event::ShardCompleted {
+                    replications,
+                    attempts,
+                    ..
+                } => {
+                    st.completed = st.completed.max(replications);
+                    st.requested = st.requested.max(replications);
+                    st.attempts = st.attempts.max(attempts);
                     st.done_ms = st.done_ms.or(ts);
                     st.phase = ShardPhase::Done;
                 }
-                "shard_quarantined" => {
-                    if let Some(c) = get_usize("completed") {
-                        st.completed = st.completed.max(c);
-                    }
-                    if let Some(a) = get_u64("attempts") {
-                        st.attempts = st.attempts.max(a as u32);
-                    }
+                Event::ShardQuarantined {
+                    attempts,
+                    completed,
+                    ..
+                } => {
+                    st.completed = st.completed.max(completed);
+                    st.attempts = st.attempts.max(attempts);
                     st.done_ms = st.done_ms.or(ts);
                     st.phase = ShardPhase::Quarantined;
                 }
-                "run_end" => {
+                Event::RunEnd {
+                    requested,
+                    completed,
+                    ..
+                } => {
                     // A worker-stream-only replay still learns completion.
-                    if let Some(c) = get_usize("completed") {
-                        st.completed = st.completed.max(c);
-                    }
-                    if let Some(r) = get_usize("requested") {
-                        st.requested = st.requested.max(r);
-                        if st.completed >= r && r > 0 {
-                            st.phase = ShardPhase::Done;
-                            st.done_ms = st.done_ms.or(ts);
-                        }
+                    st.completed = st.completed.max(completed);
+                    st.requested = st.requested.max(requested);
+                    if st.completed >= requested && requested > 0 {
+                        st.phase = ShardPhase::Done;
+                        st.done_ms = st.done_ms.or(ts);
                     }
                 }
                 _ => {}
@@ -433,11 +423,11 @@ impl CampaignAggregator {
         }
 
         if self.keep_timeline {
-            if let Some(detail) = timeline_detail(kind, &fields) {
+            if let Some(detail) = timeline_detail(&event) {
                 self.timeline.push(TimelineEntry {
                     ts_ms: ts,
                     shard: shard_id,
-                    kind: kind.to_string(),
+                    kind: event.kind().to_string(),
                     detail,
                 });
             }
@@ -618,53 +608,41 @@ fn json_f64(v: f64) -> String {
 
 /// Composes the human-readable timeline detail for lifecycle events;
 /// returns `None` for high-frequency events not kept in the timeline.
-fn timeline_detail(kind: &str, fields: &[(String, crate::jsonl::JsonScalar)]) -> Option<String> {
-    let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    let u = |k: &str| get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-    let s = |k: &str| get(k).and_then(|v| v.as_str()).unwrap_or("").to_string();
-    match kind {
-        "campaign_start" => Some(format!(
-            "{} shards, {} replications",
-            u("shards"),
-            u("replications")
-        )),
-        "worker_spawned" => Some(format!("attempt {}, pid {}", u("attempt"), u("pid"))),
-        "worker_exited" => Some(format!(
-            "attempt {}, code {}",
-            u("attempt"),
-            get("code").and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
-        )),
-        "worker_stalled" => Some(format!("silent {} ms", u("silent_ms"))),
-        "worker_restarted" => Some(format!(
-            "attempt {} after {} ms backoff",
-            u("attempt"),
-            u("backoff_ms")
-        )),
-        "shard_completed" => Some(format!(
-            "{} replications in {} attempt(s)",
-            u("replications"),
-            u("attempts")
-        )),
-        "shard_quarantined" => Some(format!(
-            "{} checkpointed after {} attempt(s)",
-            u("completed"),
-            u("attempts")
-        )),
-        "checkpoint_fallback" => Some(format!(
-            "recovered={} {}",
-            get("recovered")
-                .map(|v| matches!(v, crate::jsonl::JsonScalar::Bool(true)))
-                .unwrap_or(false),
-            s("error")
-        )),
-        "campaign_end" => Some(format!(
-            "{}/{} merged, {} restarts",
-            u("completed"),
-            u("requested"),
-            u("restarts")
-        )),
-        _ => None,
-    }
+fn timeline_detail(event: &Event) -> Option<String> {
+    Some(match event {
+        Event::CampaignStart {
+            shards,
+            replications,
+        } => format!("{shards} shards, {replications} replications"),
+        Event::WorkerSpawned { attempt, pid, .. } => format!("attempt {attempt}, pid {pid}"),
+        Event::WorkerExited { attempt, code, .. } => format!("attempt {attempt}, code {code}"),
+        Event::WorkerStalled { silent_ms, .. } => format!("silent {silent_ms} ms"),
+        Event::WorkerRestarted {
+            attempt,
+            backoff_ms,
+            ..
+        } => format!("attempt {attempt} after {backoff_ms} ms backoff"),
+        Event::ShardCompleted {
+            replications,
+            attempts,
+            ..
+        } => format!("{replications} replications in {attempts} attempt(s)"),
+        Event::ShardQuarantined {
+            attempts,
+            completed,
+            ..
+        } => format!("{completed} checkpointed after {attempts} attempt(s)"),
+        Event::CheckpointFallback {
+            error, recovered, ..
+        } => format!("recovered={recovered} {error}"),
+        Event::CampaignEnd {
+            requested,
+            completed,
+            restarts,
+            ..
+        } => format!("{completed}/{requested} merged, {restarts} restarts"),
+        _ => return None,
+    })
 }
 
 fn format_eta(snap: &CampaignSnapshot) -> String {
@@ -903,8 +881,7 @@ pub fn render_campaign_prometheus(snap: &CampaignSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonl::{event_to_json_stamped, validate_line};
-    use crate::recorder::Event;
+    use crate::jsonl::{event_to_json_stamped, parse_flat_object};
 
     fn line(ev: &Event, ts: u64, shard: Option<usize>) -> String {
         event_to_json_stamped(ev, Some(ts), shard)
@@ -1198,7 +1175,14 @@ mod tests {
             None,
         ));
         let json = agg.report_json(agg.latest_ts_ms().unwrap_or(0));
-        validate_line(&json).expect("report is valid JSON");
+        // The report is one flat object around an array of flat shard
+        // records (one here), so the flat reader checks all of it.
+        let (head, rest) = json
+            .split_once(",\"shard_reports\":[")
+            .expect("has shard reports");
+        let (shard, tail) = rest.split_once(']').expect("array closes");
+        parse_flat_object(&format!("{head}{tail}")).expect("report is valid JSON");
+        parse_flat_object(shard).expect("shard record is valid JSON");
         for needle in [
             "\"requested\":2",
             "\"completed\":2",

@@ -1,11 +1,12 @@
 //! JSONL event-stream sink: one JSON object per line, one line per
 //! [`Event`], flushed as written so a killed run leaves a readable prefix.
 //!
-//! The workspace is offline and dependency-free by policy, so serialization
-//! is hand-rolled (every event is a flat object of scalars) and the module
-//! carries its own small strict JSON validator — used by the tests, the
-//! telemetry example's self-check and the CI smoke job to prove each
-//! emitted line parses.
+//! The workspace is offline and dependency-free by policy, so the codec is
+//! hand-rolled: every event is a flat object of scalars. The schema lives
+//! here alone — [`event_to_json`] writes it and [`decode_line`] reads it
+//! back into an [`Event`] through the one strict JSON reader,
+//! [`parse_flat_object`]. [`validate_stream`] (the telemetry example's
+//! `--validate` self-check) holds a stream to the same decoder.
 
 use crate::recorder::{Event, Recorder, RunSummary};
 use std::fmt::Write as _;
@@ -419,210 +420,223 @@ impl Recorder for JsonlRecorder {
     }
 }
 
-/// Strict validation that `line` is exactly one JSON value (for event lines,
-/// an object). Returns the byte offset and message of the first violation.
-pub fn validate_line(line: &str) -> Result<(), String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(())
+/// One decoded event line: the [`Event`] and its aggregation stamps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Stamped {
+    /// The event.
+    pub event: Event,
+    /// The `ts_ms` stamp, if the line carries one.
+    pub ts_ms: Option<u64>,
+    /// The `shard` field: the writer's stamp, or for the coordinator's
+    /// worker-lifecycle events the event's own `shard`.
+    pub shard: Option<usize>,
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
+/// Decodes one line written by [`event_to_json_stamped`] back into its
+/// [`Event`] and stamps — the read side of the schema [`event_to_json`]
+/// writes. Fails on malformed JSON, an unknown `type`, or a field that is
+/// missing or of the wrong type; fields the schema does not know are
+/// ignored.
+pub fn decode_line(line: &str) -> Result<Stamped, String> {
+    let f = Fields(parse_flat_object(line)?);
+    let event = match f.get("type", JsonScalar::as_str)? {
+        "run_start" => Event::RunStart {
+            seed: f.u64("seed")?,
+            replications: f.usize("replications")?,
+            n_sources: f.usize("n_sources")?,
+            frames_per_replication: f.usize("frames_per_replication")?,
+            buffers: f.usize("buffers")?,
+        },
+        "replication_start" => Event::ReplicationStart {
+            replication: f.usize("replication")?,
+            seed: f.u64("seed")?,
+        },
+        "replication_end" => Event::ReplicationEnd {
+            replication: f.usize("replication")?,
+            seed: f.u64("seed")?,
+            frames: f.u64("frames")?,
+            duration_ns: f.u64("duration_ns")?,
+            clr_b0: f.f64("clr_b0")?,
+        },
+        "progress" => Event::Progress {
+            completed: f.usize("completed")?,
+            requested: f.usize("requested")?,
+        },
+        "checkpoint_saved" => Event::CheckpointSaved {
+            path: f.string("path")?,
+            replications: f.usize("replications")?,
+            fingerprint: f.fingerprint()?,
+        },
+        "checkpoint_resumed" => Event::CheckpointResumed {
+            path: f.string("path")?,
+            replications: f.usize("replications")?,
+            fingerprint: f.fingerprint()?,
+        },
+        "guard_trip" => Event::GuardTrip {
+            replication: f.usize("replication")?,
+            frame: f.u64("frame")?,
+            seed: f.u64("seed")?,
+            site: f.string("site")?,
+            value: f.f64("value")?,
+        },
+        "watchdog_timeout" => Event::WatchdogTimeout {
+            replication: f.usize("replication")?,
+            seed: f.u64("seed")?,
+        },
+        "budget_exhausted" => Event::BudgetExhausted {
+            completed: f.usize("completed")?,
+            requested: f.usize("requested")?,
+        },
+        "heartbeat" => Event::Heartbeat {
+            replication: f.usize("replication")?,
+            frame: f.u64("frame")?,
+        },
+        "checkpoint_fallback" => Event::CheckpointFallback {
+            path: f.string("path")?,
+            error: f.string("error")?,
+            recovered: f.get("recovered", JsonScalar::as_bool)?,
+        },
+        "campaign_start" => Event::CampaignStart {
+            shards: f.usize("shards")?,
+            replications: f.usize("replications")?,
+        },
+        "worker_spawned" => Event::WorkerSpawned {
+            shard: f.usize("shard")?,
+            attempt: f.u32("attempt")?,
+            pid: f.u32("pid")?,
+        },
+        "worker_exited" => Event::WorkerExited {
+            shard: f.usize("shard")?,
+            attempt: f.u32("attempt")?,
+            code: f.get("code", JsonScalar::as_i64)?,
+        },
+        "worker_stalled" => Event::WorkerStalled {
+            shard: f.usize("shard")?,
+            attempt: f.u32("attempt")?,
+            silent_ms: f.u64("silent_ms")?,
+        },
+        "worker_restarted" => Event::WorkerRestarted {
+            shard: f.usize("shard")?,
+            attempt: f.u32("attempt")?,
+            backoff_ms: f.u64("backoff_ms")?,
+        },
+        "shard_completed" => Event::ShardCompleted {
+            shard: f.usize("shard")?,
+            replications: f.usize("replications")?,
+            attempts: f.u32("attempts")?,
+        },
+        "shard_quarantined" => Event::ShardQuarantined {
+            shard: f.usize("shard")?,
+            attempts: f.u32("attempts")?,
+            completed: f.usize("completed")?,
+        },
+        "campaign_end" => Event::CampaignEnd {
+            shards: f.usize("shards")?,
+            quarantined: f.usize("quarantined")?,
+            requested: f.usize("requested")?,
+            completed: f.usize("completed")?,
+            restarts: f.usize("restarts")?,
+            duration_ns: f.u64("duration_ns")?,
+        },
+        "run_end" => Event::RunEnd {
+            requested: f.usize("requested")?,
+            completed: f.usize("completed")?,
+            timed_out: f.usize("timed_out")?,
+            resumed: f.usize("resumed")?,
+            budget_exhausted: f.get("budget_exhausted", JsonScalar::as_bool)?,
+            duration_ns: f.u64("duration_ns")?,
+        },
+        other => return Err(format!("unknown event type {other:?}")),
+    };
+    Ok(Stamped {
+        event,
+        ts_ms: f.opt("ts_ms", JsonScalar::as_u64)?,
+        shard: f.opt("shard", as_usize)?,
+    })
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, "true"),
-        Some(b'f') => parse_lit(b, pos, "false"),
-        Some(b'n') => parse_lit(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at offset {pos}", *c as char)),
-    }
+fn as_usize(v: &JsonScalar) -> Option<usize> {
+    v.as_u64().and_then(|x| usize::try_from(x).ok())
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {pos} (expected {lit})"))
-    }
-}
+/// Typed field lookup over one parsed line, for [`decode_line`].
+struct Fields(Vec<(String, JsonScalar)>);
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}"));
+impl Fields {
+    fn opt<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl Fn(&'a JsonScalar) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.0.iter().find(|(k, _)| k == key) {
+            None => Ok(None),
+            Some((_, v)) => read(v)
+                .map(Some)
+                .ok_or_else(|| format!("field `{key}` has the wrong type: {v:?}")),
         }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-        }
+    }
+
+    fn get<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl Fn(&'a JsonScalar) -> Option<T>,
+    ) -> Result<T, String> {
+        self.opt(key, read)?
+            .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key, JsonScalar::as_u64)
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, String> {
+        self.get(key, as_usize)
+    }
+
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        self.get(key, |v| v.as_u64().and_then(|x| u32::try_from(x).ok()))
+    }
+
+    /// A number, or one of the strings [`event_to_json`] writes for NaN/±∞.
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key, |v| match v {
+            JsonScalar::String(s) => s.parse::<f64>().ok().filter(|x| !x.is_finite()),
+            _ => v.as_f64(),
+        })
+    }
+
+    fn string(&self, key: &str) -> Result<String, String> {
+        self.get(key, |v| v.as_str().map(str::to_owned))
+    }
+
+    fn fingerprint(&self) -> Result<u64, String> {
+        self.get("fingerprint", |v| {
+            v.as_str().and_then(|s| u64::from_str_radix(s, 16).ok())
+        })
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // [
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // opening quote
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at offset {pos}"));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at offset {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_digits = eat_digits(b, pos);
-    if int_digits == 0 {
-        return Err(format!("number missing integer digits at offset {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("number missing fraction digits at offset {pos}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("number missing exponent digits at offset {pos}"));
-        }
-    }
-    Ok(())
-}
-
-fn eat_digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    *pos - start
-}
-
-/// Validates a whole JSONL body line by line; returns the 1-based line
-/// number and message of the first invalid line.
+/// Checks a whole JSONL body line by line: every non-blank line must
+/// [decode](decode_line) to an [`Event`]. Returns the number of event lines,
+/// or the 1-based line number and message of the first line that does not.
 pub fn validate_stream(body: &str) -> Result<usize, (usize, String)> {
     let mut n = 0;
     for (i, line) in body.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        validate_line(line).map_err(|e| (i + 1, e))?;
+        decode_line(line).map_err(|e| (i + 1, e))?;
         n += 1;
     }
     Ok(n)
 }
 
-/// Validates a JSONL body that may end in a **partial trailing line** — the
-/// normal wreckage of a worker killed mid-write. A final line that fails
-/// validation *and* is not newline-terminated is treated as end-of-stream,
-/// not an error. Returns `(valid_lines, partial_tail)`; an invalid line
-/// anywhere else is still an error.
-pub fn validate_stream_tolerant(body: &str) -> Result<(usize, bool), (usize, String)> {
-    let lines: Vec<&str> = body.lines().collect();
-    let terminated = body.ends_with('\n');
-    let mut n = 0;
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match validate_line(line) {
-            Ok(()) => n += 1,
-            Err(_) if i + 1 == lines.len() && !terminated => return Ok((n, true)),
-            Err(e) => return Err((i + 1, e)),
-        }
-    }
-    Ok((n, false))
-}
-
 /// One scalar field value of a flat JSONL event object.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonScalar {
-    /// A JSON number (all event numbers fit f64 exactly at the magnitudes
-    /// emitted).
-    Number(f64),
+    /// A JSON number, kept as its literal text so that integers read back
+    /// exactly at any magnitude.
+    Number(String),
     /// A string, unescaped.
     String(String),
     /// A boolean.
@@ -632,18 +646,28 @@ pub enum JsonScalar {
 }
 
 impl JsonScalar {
-    /// The value as an f64, if numeric.
+    /// The value as an f64, if numeric (the nearest f64 to the literal).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonScalar::Number(x) => Some(*x),
+            JsonScalar::Number(text) => text.parse().ok(),
             _ => None,
         }
     }
 
-    /// The value as a u64, if a non-negative integral number.
+    /// The value as a u64, if the number is an integer literal in range.
+    /// Exact over the whole u64 range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonScalar::Number(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            JsonScalar::Number(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as an i64, if the number is an integer literal in range.
+    /// Exact over the whole i64 range.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            JsonScalar::Number(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -655,180 +679,445 @@ impl JsonScalar {
             _ => None,
         }
     }
+
+    /// The value as a bool, if a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonScalar::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
 }
 
 /// Parses one **flat** JSON object line (every emitted event is one) into
-/// `(key, scalar)` pairs in source order. Nested objects/arrays are rejected
-/// — the event schema has none, so hitting one means the line is not an
-/// event. This is the supervisor's read side of the event stream.
+/// `(key, scalar)` pairs in source order, in one strict pass: anything but
+/// a single object of scalar values, surrounded by optional whitespace, is
+/// an error. Nested objects and arrays are rejected — the event schema has
+/// none, so hitting one means the line is not an event.
 pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
-    validate_line(line)?;
-    let b = line.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    if b.get(pos) != Some(&b'{') {
-        return Err("not an object".into());
-    }
-    pos += 1;
+    let mut c = Cursor { text: line, pos: 0 };
+    c.skip_ws();
+    c.expect(b'{')?;
     let mut out = Vec::new();
-    skip_ws(b, &mut pos);
-    if b.get(pos) == Some(&b'}') {
-        return Ok(out);
-    }
-    loop {
-        skip_ws(b, &mut pos);
-        let key = read_string(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        pos += 1; // ':' — guaranteed by validate_line
-        skip_ws(b, &mut pos);
-        let value = match b.get(pos) {
-            Some(b'"') => JsonScalar::String(read_string(b, &mut pos)?),
-            Some(b't') => {
-                pos += 4;
-                JsonScalar::Bool(true)
+    c.skip_ws();
+    if c.peek() == Some(b'}') {
+        c.pos += 1;
+    } else {
+        loop {
+            c.skip_ws();
+            let key = c.string()?;
+            c.skip_ws();
+            c.expect(b':')?;
+            c.skip_ws();
+            out.push((key, c.scalar()?));
+            c.skip_ws();
+            match c.peek() {
+                Some(b',') => c.pos += 1,
+                Some(b'}') => {
+                    c.pos += 1;
+                    break;
+                }
+                _ => return Err(format!("expected ',' or '}}' at offset {}", c.pos)),
             }
-            Some(b'f') => {
-                pos += 5;
-                JsonScalar::Bool(false)
-            }
-            Some(b'n') => {
-                pos += 4;
-                JsonScalar::Null
-            }
-            Some(b'{' | b'[') => return Err(format!("nested value at offset {pos} (not flat)")),
-            _ => {
-                let start = pos;
-                parse_number(b, &mut pos)?;
-                let text = std::str::from_utf8(&b[start..pos]).map_err(|e| e.to_string())?;
-                JsonScalar::Number(text.parse::<f64>().map_err(|e| e.to_string())?)
-            }
-        };
-        out.push((key, value));
-        skip_ws(b, &mut pos);
-        match b.get(pos) {
-            Some(b',') => pos += 1,
-            _ => return Ok(out), // '}' — guaranteed by validate_line
         }
     }
+    c.skip_ws();
+    if c.pos != line.len() {
+        return Err(format!("trailing bytes at offset {}", c.pos));
+    }
+    Ok(out)
 }
 
-/// Reads and unescapes a JSON string already proven well-formed by
-/// [`validate_line`].
-fn read_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // opening quote
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = std::str::from_utf8(&b[*pos + 1..*pos + 5])
-                            .map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Multi-byte UTF-8 sequences pass through intact: collect the
-                // full code point.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().ok_or("empty string tail")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+/// Read position within one line, for [`parse_flat_object`].
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.pos += 1;
         }
     }
-    Err("unterminated string".into())
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        if self.peek() != Some(byte) {
+            return Err(format!(
+                "expected {:?} at offset {}",
+                byte as char, self.pos
+            ));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn scalar(&mut self) -> Result<JsonScalar, String> {
+        match self.peek() {
+            Some(b'"') => return self.string().map(JsonScalar::String),
+            Some(b'-' | b'0'..=b'9') => return self.number().map(JsonScalar::Number),
+            _ => {}
+        }
+        for (lit, value) in [
+            ("true", JsonScalar::Bool(true)),
+            ("false", JsonScalar::Bool(false)),
+            ("null", JsonScalar::Null),
+        ] {
+            if self.text[self.pos..].starts_with(lit) {
+                self.pos += lit.len();
+                return Ok(value);
+            }
+        }
+        Err(format!("unexpected value at offset {}", self.pos))
+    }
+
+    /// `-?digits(.digits)?([eE][+-]?digits)?`, returned as its text.
+    fn number(&mut self) -> Result<String, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        if self.digits() == 0 {
+            return Err(format!("number missing integer digits at offset {start}"));
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(format!(
+                    "number missing fraction digits at offset {}",
+                    self.pos
+                ));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(format!(
+                    "number missing exponent digits at offset {}",
+                    self.pos
+                ));
+            }
+        }
+        Ok(self.text[start..self.pos].to_owned())
+    }
+
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Reads and unescapes a string.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Runs of plain text (multi-byte UTF-8 included) copy through.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {}
+                Some(_) => {
+                    return Err(format!("raw control byte in string at offset {}", self.pos))
+                }
+            }
+            let at = self.pos;
+            self.pos += 2;
+            out.push(match self.text.as_bytes().get(at + 1) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let code = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| format!("bad \\u escape at offset {at}"))?;
+                    self.pos += 4;
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                _ => return Err(format!("bad escape at offset {at}")),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use vbr_stats::rng::SplitMix64;
 
-    #[test]
-    fn every_event_serializes_to_valid_json() {
-        let events = [
-            Event::RunStart {
-                seed: 0x5EED_CAFE,
-                replications: 60,
-                n_sources: 30,
-                frames_per_replication: 500_000,
-                buffers: 8,
+    /// Arbitrary field values, drawn from the property's seed.
+    struct Gen(SplitMix64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0.next()
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[(self.next() % xs.len() as u64) as usize]
+        }
+
+        /// Edge values half the time, any u64 otherwise.
+        fn u64(&mut self) -> u64 {
+            if self.next() & 1 == 0 {
+                self.pick(&[0, 1, (1 << 53) + 1, u64::MAX - 1, u64::MAX])
+            } else {
+                self.next()
+            }
+        }
+
+        fn usize(&mut self) -> usize {
+            self.u64() as usize
+        }
+
+        fn u32(&mut self) -> u32 {
+            let any = self.next() as u32;
+            self.pick(&[0, u32::MAX, any])
+        }
+
+        fn i64(&mut self) -> i64 {
+            let any = self.next() as i64;
+            self.pick(&[i64::MIN, -2, -1, 0, i64::MAX, any])
+        }
+
+        /// NaN, ±∞, ±0, subnormals and extremes, or any bit pattern.
+        fn f64(&mut self) -> f64 {
+            let any = f64::from_bits(self.next());
+            self.pick(&[
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                0.0,
+                f64::MIN_POSITIVE / 3.0,
+                f64::MAX,
+                f64::MIN,
+                3.89e-6,
+                any,
+            ])
+        }
+
+        /// Quotes, backslashes, every control character and non-ASCII text.
+        fn string(&mut self) -> String {
+            let len = self.next() % 12;
+            (0..len)
+                .map(|_| match self.next() % 4 {
+                    0 => char::from((self.next() % 0x20) as u8),
+                    1 => self.pick(&['"', '\\', '/', '\u{7f}', 'é', '中', '\u{2028}', '😀']),
+                    2 => char::from_u32((self.next() % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                    _ => (b' ' + (self.next() % 95) as u8) as char,
+                })
+                .collect()
+        }
+    }
+
+    /// One event of every variant.
+    #[rustfmt::skip]
+    fn templates() -> Vec<Event> {
+        let path = String::new;
+        vec![
+            Event::RunStart { seed: 0, replications: 0, n_sources: 0, frames_per_replication: 0, buffers: 0 },
+            Event::ReplicationStart { replication: 0, seed: 0 },
+            Event::ReplicationEnd { replication: 0, seed: 0, frames: 0, duration_ns: 0, clr_b0: 0.0 },
+            Event::Progress { completed: 0, requested: 0 },
+            Event::CheckpointSaved { path: path(), replications: 0, fingerprint: 0 },
+            Event::CheckpointResumed { path: path(), replications: 0, fingerprint: 0 },
+            Event::GuardTrip { replication: 0, frame: 0, seed: 0, site: path(), value: 0.0 },
+            Event::WatchdogTimeout { replication: 0, seed: 0 },
+            Event::BudgetExhausted { completed: 0, requested: 0 },
+            Event::Heartbeat { replication: 0, frame: 0 },
+            Event::CheckpointFallback { path: path(), error: path(), recovered: false },
+            Event::CampaignStart { shards: 0, replications: 0 },
+            Event::WorkerSpawned { shard: 0, attempt: 0, pid: 0 },
+            Event::WorkerExited { shard: 0, attempt: 0, code: 0 },
+            Event::WorkerStalled { shard: 0, attempt: 0, silent_ms: 0 },
+            Event::WorkerRestarted { shard: 0, attempt: 0, backoff_ms: 0 },
+            Event::ShardCompleted { shard: 0, replications: 0, attempts: 0 },
+            Event::ShardQuarantined { shard: 0, attempts: 0, completed: 0 },
+            Event::CampaignEnd { shards: 0, quarantined: 0, requested: 0, completed: 0, restarts: 0, duration_ns: 0 },
+            Event::RunEnd { requested: 0, completed: 0, timed_out: 0, resumed: 0, budget_exhausted: false, duration_ns: 0 },
+        ]
+    }
+
+    /// An event of `like`'s variant with every field drawn from `g`, and the
+    /// event's own `shard` field if it has one. The match is exhaustive, so
+    /// a new variant does not build until it is generated (and decoded).
+    fn arbitrary(like: &Event, g: &mut Gen) -> (Event, Option<usize>) {
+        let ev = match like {
+            Event::RunStart { .. } => Event::RunStart {
+                seed: g.u64(),
+                replications: g.usize(),
+                n_sources: g.usize(),
+                frames_per_replication: g.usize(),
+                buffers: g.usize(),
             },
-            Event::ReplicationStart {
-                replication: 3,
-                seed: 1,
+            Event::ReplicationStart { .. } => Event::ReplicationStart {
+                replication: g.usize(),
+                seed: g.u64(),
             },
-            Event::ReplicationEnd {
-                replication: 3,
-                seed: 1,
-                frames: 525_000,
-                duration_ns: 830_000_000,
-                clr_b0: 3.89e-6,
+            Event::ReplicationEnd { .. } => Event::ReplicationEnd {
+                replication: g.usize(),
+                seed: g.u64(),
+                frames: g.u64(),
+                duration_ns: g.u64(),
+                clr_b0: g.f64(),
             },
-            Event::Progress {
-                completed: 4,
-                requested: 60,
+            Event::Progress { .. } => Event::Progress {
+                completed: g.usize(),
+                requested: g.usize(),
             },
-            Event::CheckpointSaved {
-                path: "paper_output/run.ckpt".into(),
-                replications: 4,
-                fingerprint: 0xDEAD_BEEF_0123_4567,
+            Event::CheckpointSaved { .. } => Event::CheckpointSaved {
+                path: g.string(),
+                replications: g.usize(),
+                fingerprint: g.u64(),
             },
-            Event::CheckpointResumed {
-                path: "a \"quoted\"\npath\\x".into(),
-                replications: 2,
-                fingerprint: 1,
+            Event::CheckpointResumed { .. } => Event::CheckpointResumed {
+                path: g.string(),
+                replications: g.usize(),
+                fingerprint: g.u64(),
             },
-            Event::GuardTrip {
-                replication: 9,
-                frame: 1234,
-                seed: 7,
-                site: "source 3".into(),
-                value: f64::NAN,
+            Event::GuardTrip { .. } => Event::GuardTrip {
+                replication: g.usize(),
+                frame: g.u64(),
+                seed: g.u64(),
+                site: g.string(),
+                value: g.f64(),
             },
-            Event::WatchdogTimeout {
-                replication: 5,
-                seed: 7,
+            Event::WatchdogTimeout { .. } => Event::WatchdogTimeout {
+                replication: g.usize(),
+                seed: g.u64(),
             },
-            Event::BudgetExhausted {
-                completed: 10,
-                requested: 60,
+            Event::BudgetExhausted { .. } => Event::BudgetExhausted {
+                completed: g.usize(),
+                requested: g.usize(),
             },
-            Event::RunEnd {
-                requested: 60,
-                completed: 58,
-                timed_out: 2,
-                resumed: 10,
-                budget_exhausted: false,
-                duration_ns: 3_600_000_000_000,
+            Event::Heartbeat { .. } => Event::Heartbeat {
+                replication: g.usize(),
+                frame: g.u64(),
             },
-        ];
-        for ev in &events {
-            let line = event_to_json(ev);
-            validate_line(&line).unwrap_or_else(|e| panic!("{}: {e}\n{line}", ev.kind()));
-            assert!(
-                line.contains(&format!("\"type\":\"{}\"", ev.kind())),
-                "{line}"
-            );
-            assert!(!line.contains('\n'), "single line: {line}");
+            Event::CheckpointFallback { .. } => Event::CheckpointFallback {
+                path: g.string(),
+                error: g.string(),
+                recovered: g.next() & 1 == 1,
+            },
+            Event::CampaignStart { .. } => Event::CampaignStart {
+                shards: g.usize(),
+                replications: g.usize(),
+            },
+            Event::WorkerSpawned { .. } => Event::WorkerSpawned {
+                shard: g.usize(),
+                attempt: g.u32(),
+                pid: g.u32(),
+            },
+            Event::WorkerExited { .. } => Event::WorkerExited {
+                shard: g.usize(),
+                attempt: g.u32(),
+                code: g.i64(),
+            },
+            Event::WorkerStalled { .. } => Event::WorkerStalled {
+                shard: g.usize(),
+                attempt: g.u32(),
+                silent_ms: g.u64(),
+            },
+            Event::WorkerRestarted { .. } => Event::WorkerRestarted {
+                shard: g.usize(),
+                attempt: g.u32(),
+                backoff_ms: g.u64(),
+            },
+            Event::ShardCompleted { .. } => Event::ShardCompleted {
+                shard: g.usize(),
+                replications: g.usize(),
+                attempts: g.u32(),
+            },
+            Event::ShardQuarantined { .. } => Event::ShardQuarantined {
+                shard: g.usize(),
+                attempts: g.u32(),
+                completed: g.usize(),
+            },
+            Event::CampaignEnd { .. } => Event::CampaignEnd {
+                shards: g.usize(),
+                quarantined: g.usize(),
+                requested: g.usize(),
+                completed: g.usize(),
+                restarts: g.usize(),
+                duration_ns: g.u64(),
+            },
+            Event::RunEnd { .. } => Event::RunEnd {
+                requested: g.usize(),
+                completed: g.usize(),
+                timed_out: g.usize(),
+                resumed: g.usize(),
+                budget_exhausted: g.next() & 1 == 1,
+                duration_ns: g.u64(),
+            },
+        };
+        let own_shard = match &ev {
+            Event::WorkerSpawned { shard, .. }
+            | Event::WorkerExited { shard, .. }
+            | Event::WorkerStalled { shard, .. }
+            | Event::WorkerRestarted { shard, .. }
+            | Event::ShardCompleted { shard, .. }
+            | Event::ShardQuarantined { shard, .. } => Some(*shard),
+            _ => None,
+        };
+        (ev, own_shard)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The schema round-trips: every variant, arbitrary field values and
+        /// every combination of stamps decode back to what was encoded. f64
+        /// fields compare by bits, NaN by class: `{:?}` prints the shortest
+        /// text that round-trips, with the sign of zero and `NaN` for all NaNs.
+        #[test]
+        fn every_event_round_trips_through_decode_line(seed: u64) {
+            let mut g = Gen(SplitMix64::new(seed));
+            let templates = templates();
+            let kinds: std::collections::BTreeSet<_> = templates.iter().map(Event::kind).collect();
+            prop_assert_eq!(kinds.len(), 20);
+            for like in &templates {
+                let (ev, own_shard) = arbitrary(like, &mut g);
+                for (ts_ms, shard) in [
+                    (None, None),
+                    (Some(g.u64()), None),
+                    (None, Some(g.usize())),
+                    (Some(g.u64()), Some(g.usize())),
+                ] {
+                    let line = event_to_json_stamped(&ev, ts_ms, shard);
+                    prop_assert!(!line.contains('\n'), "single line: {}", line);
+                    let back = decode_line(&line).unwrap_or_else(|e| panic!("{e}\n{line}"));
+                    prop_assert_eq!(format!("{:?}", back.event), format!("{ev:?}"), "{}", line);
+                    prop_assert_eq!(back.ts_ms, ts_ms, "{}", line);
+                    prop_assert_eq!(back.shard, own_shard.or(shard), "{}", line);
+                }
+            }
         }
     }
 
@@ -841,26 +1130,15 @@ mod tests {
             site: "aggregate arrivals".into(),
             value: f64::INFINITY,
         });
-        validate_line(&line).expect("valid");
         assert!(line.contains("\"inf\""), "{line}");
-    }
-
-    #[test]
-    fn validator_accepts_json_shapes() {
-        for good in [
-            "{}",
-            "[]",
-            "{\"a\":1,\"b\":[1,2.5,-3e-7],\"c\":{\"d\":null},\"e\":\"x\\u0041\"}",
-            "  {\"k\":true}  ",
-            "-0.5e+10",
-            "\"just a string\"",
-        ] {
-            validate_line(good).unwrap_or_else(|e| panic!("{good}: {e}"));
+        match decode_line(&line).expect("decodes").event {
+            Event::GuardTrip { value, .. } => assert_eq!(value, f64::INFINITY),
+            other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn validator_rejects_malformed_lines() {
+    fn flat_parser_rejects_malformed_lines() {
         for bad in [
             "",
             "{",
@@ -872,9 +1150,48 @@ mod tests {
             "{\"a\":\"unterminated}",
             "{\"a\":nul}",
             "{\"a\":1 \"b\":2}",
+            "[1,2,3]",
+            "{\"a\":{\"b\":1}}",
+            "{\"a\":[1]}",
+            "{\"a\" 1}",
+            "{\"a\":1}}",
+            "{\"a\":\"\\x\"}",
+            "{\"a\":\"\\u12\"}",
+            "{\"a\":\"raw\ttab\"}",
+            "{\"a\":-}",
+            "{\"a\":1.}",
+            "\"just a string\"",
         ] {
-            assert!(validate_line(bad).is_err(), "should reject: {bad:?}");
+            assert!(parse_flat_object(bad).is_err(), "should reject: {bad:?}");
         }
+    }
+
+    #[test]
+    fn decode_rejects_unknown_types_and_missing_or_mistyped_fields() {
+        for bad in [
+            "{\"no_type\":1}",
+            "{\"type\":\"no_such_event\"}",
+            "{\"type\":\"progress\",\"completed\":1}",
+            "{\"type\":\"progress\",\"completed\":\"1\",\"requested\":2}",
+            "{\"type\":\"progress\",\"completed\":-1,\"requested\":2}",
+            "{\"type\":\"progress\",\"completed\":1.5,\"requested\":2}",
+            "{\"type\":\"progress\",\"completed\":1,\"requested\":2,\"ts_ms\":\"x\"}",
+            "{\"type\":\"worker_spawned\",\"shard\":0,\"attempt\":4294967296,\"pid\":1}",
+            "{\"type\":\"replication_end\",\"replication\":0,\"seed\":1,\"frames\":1,\
+             \"duration_ns\":1,\"clr_b0\":\"1e-3\"}",
+        ] {
+            assert!(decode_line(bad).is_err(), "should reject: {bad:?}");
+        }
+        // Fields the schema does not know are ignored.
+        let ok =
+            decode_line("{\"type\":\"progress\",\"completed\":1,\"requested\":2,\"note\":null}");
+        assert_eq!(
+            ok.map(|s| s.event),
+            Ok(Event::Progress {
+                completed: 1,
+                requested: 2
+            })
+        );
     }
 
     #[test]
@@ -900,106 +1217,24 @@ mod tests {
 
     #[test]
     fn validate_stream_pinpoints_bad_line() {
-        let body = "{\"ok\":1}\nnot json\n";
-        let (line, _) = validate_stream(body).unwrap_err();
-        assert_eq!(line, 2);
-    }
-
-    /// The satellite contract: a partial trailing line — what a SIGKILLed
-    /// worker leaves mid-write — is end-of-stream, not a validation error.
-    #[test]
-    fn tolerant_validator_accepts_partial_trailing_line() {
-        let body = "{\"type\":\"progress\",\"completed\":1,\"requested\":4}\n{\"type\":\"replica";
-        let (n, partial) = validate_stream_tolerant(body).expect("tolerated");
-        assert_eq!(n, 1);
-        assert!(partial);
-
-        // A newline-terminated garbage line is NOT a partial tail.
-        let body = "{\"ok\":1}\n{garbage}\n";
-        assert!(validate_stream_tolerant(body).is_err());
-
-        // Garbage mid-stream is still an error even without a final newline.
-        let body = "{garbage}\n{\"par";
-        let (line, _) = validate_stream_tolerant(body).unwrap_err();
-        assert_eq!(line, 1);
-
-        // A clean stream reports no partial tail.
-        let body = "{\"ok\":1}\n{\"ok\":2}\n";
-        assert_eq!(validate_stream_tolerant(body), Ok((2, false)));
-    }
-
-    #[test]
-    fn campaign_events_serialize_to_valid_json() {
-        let events = [
-            Event::Heartbeat {
-                replication: 7,
-                frame: 40_960,
-            },
-            Event::CheckpointFallback {
-                path: "shard-0/ckpt".into(),
-                error: "checksum mismatch".into(),
-                recovered: true,
-            },
-            Event::CampaignStart {
-                shards: 4,
-                replications: 60,
-            },
-            Event::WorkerSpawned {
-                shard: 2,
-                attempt: 1,
-                pid: 4321,
-            },
-            Event::WorkerExited {
-                shard: 2,
-                attempt: 1,
-                code: -1,
-            },
-            Event::WorkerStalled {
-                shard: 1,
-                attempt: 2,
-                silent_ms: 1500,
-            },
-            Event::WorkerRestarted {
-                shard: 2,
-                attempt: 2,
-                backoff_ms: 250,
-            },
-            Event::ShardCompleted {
-                shard: 2,
-                replications: 15,
-                attempts: 2,
-            },
-            Event::ShardQuarantined {
-                shard: 3,
-                attempts: 3,
-                completed: 4,
-            },
-            Event::CampaignEnd {
-                shards: 4,
-                quarantined: 1,
-                requested: 60,
-                completed: 49,
-                restarts: 3,
-                duration_ns: 9_000_000_000,
-            },
-        ];
-        for ev in &events {
-            let line = event_to_json(ev);
-            validate_line(&line).unwrap_or_else(|e| panic!("{}: {e}\n{line}", ev.kind()));
-            assert!(
-                line.contains(&format!("\"type\":\"{}\"", ev.kind())),
-                "{line}"
-            );
+        let ok = event_to_json(&Event::Progress {
+            completed: 1,
+            requested: 2,
+        });
+        for bad in [
+            "not json",
+            "{\"ok\":1}",
+            "{\"type\":\"progress\",\"completed\":1}",
+        ] {
+            let (line, _) = validate_stream(&format!("{ok}\n\n{bad}\n")).unwrap_err();
+            assert_eq!(line, 3, "{bad}");
         }
-        // Negative exit codes survive the round trip as JSON numbers.
-        let line = event_to_json(&events[4]);
-        assert!(line.contains("\"code\":-1"), "{line}");
     }
 
     #[test]
     fn flat_object_parser_reads_scalars() {
         let line = "{\"type\":\"worker_exited\",\"shard\":2,\"attempt\":1,\"code\":-1,\
-                    \"note\":\"a \\\"q\\\"\",\"flag\":true,\"none\":null,\"x\":2.5e-3}";
+                    \"note\":\"a \\\"q\\\" \\u00e9\\u4E2d\\/\",\"flag\":true,\"none\":null,\"x\":2.5e-3}";
         let fields = parse_flat_object(line).expect("parses");
         let get = |k: &str| {
             fields
@@ -1007,39 +1242,50 @@ mod tests {
                 .find(|(key, _)| key == k)
                 .map(|(_, v)| v.clone())
         };
-        assert_eq!(get("type"), Some(JsonScalar::String("worker_exited".into())));
+        assert_eq!(
+            fields[0],
+            ("type".into(), JsonScalar::String("worker_exited".into()))
+        );
         assert_eq!(get("shard").and_then(|v| v.as_u64()), Some(2));
         assert_eq!(get("code").and_then(|v| v.as_f64()), Some(-1.0));
-        assert_eq!(get("note"), Some(JsonScalar::String("a \"q\"".into())));
+        assert_eq!(get("code").and_then(|v| v.as_i64()), Some(-1));
+        assert_eq!(get("note"), Some(JsonScalar::String("a \"q\" é中/".into())));
         assert_eq!(get("flag"), Some(JsonScalar::Bool(true)));
         assert_eq!(get("none"), Some(JsonScalar::Null));
-        assert!((get("x").and_then(|v| v.as_f64()).unwrap() - 2.5e-3).abs() < 1e-15);
+        assert_eq!(get("x").and_then(|v| v.as_f64()), Some(2.5e-3));
         // as_u64 rejects negatives and fractions.
         assert_eq!(get("code").and_then(|v| v.as_u64()), None);
         assert_eq!(get("x").and_then(|v| v.as_u64()), None);
 
-        assert!(parse_flat_object("{\"a\":[1]}").is_err(), "nested rejected");
-        assert!(parse_flat_object("not json").is_err());
         assert_eq!(parse_flat_object("{}").expect("empty ok"), vec![]);
+        assert_eq!(
+            parse_flat_object(" { \"k\" : true } ")
+                .expect("spaced ok")
+                .len(),
+            1
+        );
     }
 
+    /// Integers read back exactly, not through an f64.
     #[test]
-    fn every_emitted_event_round_trips_through_flat_parser() {
-        let ev = Event::ReplicationEnd {
-            replication: 3,
-            seed: 0xFFFF_FFFF_FFFF_FFFF,
-            frames: 525_000,
-            duration_ns: 830_000_000,
-            clr_b0: 3.89e-6,
-        };
-        let fields = parse_flat_object(&event_to_json(&ev)).expect("flat");
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
-        assert_eq!(
-            get("type"),
-            Some(JsonScalar::String("replication_end".into()))
-        );
-        assert_eq!(get("replication").and_then(|v| v.as_u64()), Some(3));
-        assert_eq!(get("frames").and_then(|v| v.as_u64()), Some(525_000));
+    fn integers_read_back_exactly() {
+        let seed = (1u64 << 53) + 1;
+        let line = event_to_json(&Event::ReplicationStart {
+            replication: 0,
+            seed,
+        });
+        let fields = parse_flat_object(&line).expect("flat");
+        let read = fields
+            .iter()
+            .find(|(k, _)| k == "seed")
+            .map(|(_, v)| v.as_u64());
+        assert_eq!(read, Some(Some(seed)), "{line}");
+
+        let fields = parse_flat_object(&format!("{{\"max\":{},\"min\":{}}}", u64::MAX, i64::MIN))
+            .expect("flat");
+        assert_eq!(fields[0].1.as_u64(), Some(u64::MAX));
+        assert_eq!(fields[1].1.as_i64(), Some(i64::MIN));
+        assert_eq!(fields[0].1.as_i64(), None, "out of i64 range");
     }
 
     #[test]
@@ -1066,7 +1312,12 @@ mod tests {
         assert_eq!(lines.len(), 2);
 
         let fields = parse_flat_object(lines[0]).expect("stamped line parses");
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
+        let get = |k: &str| {
+            fields
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.clone())
+        };
         assert_eq!(get("shard").and_then(|v| v.as_u64()), Some(3));
         assert!(get("ts_ms").and_then(|v| v.as_u64()).is_some(), "{body}");
 
@@ -1082,7 +1333,9 @@ mod tests {
         let dir = std::env::temp_dir().join("vbr_obs_jsonl_mono_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("events.jsonl");
-        let rec = JsonlRecorder::create(&path).expect("create").with_timestamps();
+        let rec = JsonlRecorder::create(&path)
+            .expect("create")
+            .with_timestamps();
         for i in 0..50 {
             rec.record(&Event::Progress {
                 completed: i,
@@ -1134,8 +1387,18 @@ mod tests {
         };
         assert_eq!(event_to_json_stamped(&ev, None, None), event_to_json(&ev));
         let stamped = event_to_json_stamped(&ev, Some(1700000000123), Some(2));
-        validate_line(&stamped).expect("valid");
-        assert!(stamped.ends_with(",\"ts_ms\":1700000000123,\"shard\":2}"), "{stamped}");
+        assert_eq!(
+            decode_line(&stamped),
+            Ok(Stamped {
+                event: ev,
+                ts_ms: Some(1700000000123),
+                shard: Some(2)
+            })
+        );
+        assert!(
+            stamped.ends_with(",\"ts_ms\":1700000000123,\"shard\":2}"),
+            "{stamped}"
+        );
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   simulator's typed errors), plus a [`RunSummary`] delivered at run end.
 //! * Sinks: [`MemoryRecorder`] (tests, programmatic use),
 //!   [`JsonlRecorder`] (one JSON object per event, one write syscall per
-//!   line so concurrent tailers see events promptly, with a built-in strict
-//!   validator in [`jsonl`] and optional `ts_ms`/`shard` stamps), and
+//!   line so concurrent tailers see events promptly, read back by the typed
+//!   [`jsonl::decode_line`], with optional `ts_ms`/`shard` stamps), and
 //!   [`PrometheusExporter`] (text exposition written at run end).
 //! * The **live observatory** read side: [`tail`] follows `*.events.jsonl`
 //!   files incrementally (partial trailing lines, truncation and rotation

@@ -5,8 +5,7 @@
 //! follows one such file by byte offset and only ever hands back
 //! **complete, newline-terminated lines** — a partial trailing line (a
 //! worker killed mid-write, or a write racing the read) is left in place
-//! until more bytes arrive, mirroring the tolerant-validator semantics in
-//! [`crate::jsonl::validate_stream_tolerant`].
+//! until more bytes arrive.
 //!
 //! The tailer also survives the two ways a followed file can go backwards:
 //!

@@ -25,10 +25,10 @@
 //!   union of per-replication accounts, so the campaign result is
 //!   bit-identical to one process running all replications.
 //!
-//! The supervisor never parses a worker's half-written final line as an
-//! error ([`vbr_obs::jsonl::validate_stream_tolerant`] semantics) and
-//! truncates that partial tail before a restarted worker appends, keeping
-//! every shard stream valid JSONL end to end.
+//! The supervisor never reads a worker's half-written final line (its
+//! [`Tailer`] hands back complete lines only) and truncates that partial
+//! tail before a restarted worker appends, keeping every shard stream valid
+//! JSONL end to end.
 
 use crate::checkpoint::{self, CheckpointPolicy};
 use crate::error::SimError;
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vbr_obs::jsonl::parse_flat_object;
+use vbr_obs::jsonl::decode_line;
 use vbr_obs::tail::Tailer;
 use vbr_obs::{Event, P2Snapshot, P2Summary, Recorder};
 
@@ -272,17 +272,11 @@ pub fn run_campaign(
                 shard.last_progress = Instant::now();
             }
             for line in &lines {
-                let Ok(fields) = parse_flat_object(line) else {
-                    continue;
-                };
-                let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-                match get("type").and_then(|v| v.as_str()) {
-                    Some("replication_end") => {
-                        if let Some(ns) = get("duration_ns").and_then(|v| v.as_u64()) {
-                            rep_durations.observe(ns as f64 / 1e9);
-                        }
+                match decode_line(line).map(|s| s.event) {
+                    Ok(Event::ReplicationEnd { duration_ns, .. }) => {
+                        rep_durations.observe(duration_ns as f64 / 1e9);
                     }
-                    Some("checkpoint_fallback") => shard.fallbacks += 1,
+                    Ok(Event::CheckpointFallback { .. }) => shard.fallbacks += 1,
                     _ => {}
                 }
             }

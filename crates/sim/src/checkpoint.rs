@@ -12,7 +12,7 @@
 //! round-trip is exact — the resumed run's pooled CLR matches an
 //! uninterrupted run to the last bit. A trailer line (`end <count>`) makes
 //! truncation (the writing process died mid-write) detectable, and a final
-//! `checksum` line (FNV-1a over every preceding byte, v2+) catches silent
+//! `checksum` line (FNV-1a over every preceding byte) catches silent
 //! content corruption; writes go to a temp file first and are atomically
 //! renamed into place so a crash never corrupts an existing good checkpoint.
 //!
@@ -29,12 +29,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Current checkpoint format version. v2 adds the trailing `checksum` line;
-/// v1 files (no checksum) still load.
+/// Checkpoint format version. v2 added the trailing `checksum` line; files
+/// of any other version are rejected as a version mismatch.
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// Oldest format version this build still reads.
-pub const CHECKPOINT_MIN_VERSION: u32 = 1;
 
 const MAGIC: &str = "vbr-sim-checkpoint";
 
@@ -186,8 +183,8 @@ pub(crate) fn parse(
 ) -> Result<BTreeMap<usize, RepResult>, SimError> {
     let n_buffers = config.buffers_total.len();
 
-    // Header: magic + version — peeked first, because the version decides
-    // whether a content checksum must be verified before anything else.
+    // Header: magic + version — peeked first, so a file of another version
+    // reads as a version mismatch rather than a checksum failure.
     let header = text
         .lines()
         .next()
@@ -198,7 +195,7 @@ pub(crate) fn parse(
         .and_then(|v| v.strip_prefix('v'))
         .and_then(|v| v.parse::<u32>().ok())
         .ok_or_else(|| ckpt_err(path, CheckpointErrorKind::BadHeader(header.into())))?;
-    if !(CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION).contains(&version) {
+    if version != CHECKPOINT_VERSION {
         return Err(ckpt_err(
             path,
             CheckpointErrorKind::VersionMismatch {
@@ -208,21 +205,16 @@ pub(crate) fn parse(
         ));
     }
 
-    // v2+: the final line is `checksum <hex>` over every preceding byte.
-    let body = if version >= 2 {
-        let (body, found) = split_checksum(text)
-            .ok_or_else(|| ckpt_err(path, CheckpointErrorKind::Truncated))?;
-        let expected = fnv1a(body.as_bytes());
-        if found != expected {
-            return Err(ckpt_err(
-                path,
-                CheckpointErrorKind::ChecksumMismatch { found, expected },
-            ));
-        }
-        body
-    } else {
-        text
-    };
+    // The final line is `checksum <hex>` over every preceding byte.
+    let (body, found) =
+        split_checksum(text).ok_or_else(|| ckpt_err(path, CheckpointErrorKind::Truncated))?;
+    let expected = fnv1a(body.as_bytes());
+    if found != expected {
+        return Err(ckpt_err(
+            path,
+            CheckpointErrorKind::ChecksumMismatch { found, expected },
+        ));
+    }
 
     let mut lines = body.lines().enumerate();
     let _ = lines.next(); // header, parsed above

@@ -4,7 +4,7 @@
 //! §5.5 ("for each of the four models we run 60 replications, each of which
 //! generates half a million frames").
 //!
-//! Four layers:
+//! Three layers:
 //!
 //! * [`queue`] — the frame-level **fluid queue**. With all sources' frames
 //!   aligned and cells deterministically smoothed over the frame duration
@@ -16,9 +16,6 @@
 //!   cell time on the aggregate link, arrivals placed in their smoothed
 //!   positions) used to validate that the fluid abstraction does not distort
 //!   the CLR at the paper's operating points.
-//! * [`priority`] — a two-class (CLP 0/1) fluid queue with a partial
-//!   buffer-sharing discard threshold, the space-priority scheme real ATM
-//!   switches pair with UPC tagging.
 //! * [`runner`] — the parallel replication harness: independent seeded
 //!   replications fanned out over `std::thread::scope`, CLR measured for
 //!   *many buffer sizes simultaneously* against a shared arrival stream
@@ -48,7 +45,6 @@ pub mod checkpoint;
 pub mod error;
 pub mod fault;
 pub mod guard;
-pub mod priority;
 pub mod queue;
 pub mod retry;
 pub mod runner;
@@ -63,12 +59,10 @@ pub use campaign::{
 };
 pub use cell::CellMultiplexer;
 pub use checkpoint::{
-    config_fingerprint, verify as verify_checkpoint, CheckpointPolicy, CHECKPOINT_MIN_VERSION,
-    CHECKPOINT_VERSION,
+    config_fingerprint, verify as verify_checkpoint, CheckpointPolicy, CHECKPOINT_VERSION,
 };
 pub use error::{CheckpointErrorKind, FaultSite, NumericFault, SimError};
 pub use guard::Guard;
-pub use priority::PriorityQueue;
 pub use trace::TraceProcess;
 pub use queue::{BopEstimator, FluidQueue, LossAccount};
 pub use retry::RetryPolicy;

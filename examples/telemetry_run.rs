@@ -9,7 +9,7 @@
 //!   `paper_output/telemetry`); receives `events.jsonl`, `metrics.prom`
 //!   and `summary.txt`.
 //! * `--validate` — after the run, re-read `events.jsonl` and check every
-//!   line is valid JSON (the CI smoke job runs with this flag).
+//!   line decodes back to an `Event` (the CI smoke job runs with this flag).
 //!
 //! Scale overrides for quick smoke runs: `VBR_REPS=n` (default 8) and
 //! `VBR_FRAMES=n` (default 50 000 frames per replication).

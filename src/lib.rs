@@ -13,7 +13,6 @@
 //! * [`asymptotics`] — large deviations: V(m), CTS, Bahadur-Rao, Weibull
 //! * [`sim`] — fluid + cell-level multiplexer simulation, replication harness
 //! * [`obs`] — observability: tracing spans, streaming metrics, run telemetry
-//! * [`atm`] — ATM cell codec (HEC), GCRA policing, spacing
 //! * [`core`] — the paper pipeline: Table-1 solvers, DAR matching,
 //!   experiment drivers, prelude
 //!
@@ -23,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub use vbr_asymptotics as asymptotics;
-pub use vbr_atm as atm;
 pub use vbr_core as core;
 pub use vbr_models as models;
 pub use vbr_obs as obs;

@@ -1,8 +1,6 @@
 //! Integration tests for the extension surfaces: heterogeneous mixes,
-//! non-Gaussian marginals (paper §6.1), the CLP priority queue, AAL5
-//! framing, and the provisioning inverses.
+//! non-Gaussian marginals (paper §6.1) and the provisioning inverses.
 
-use lrd_video::atm::{self, CellHeader, PayloadType};
 use lrd_video::prelude::*;
 use vbr_core::experiments::SimScale;
 use vbr_stats::ks_test;
@@ -94,84 +92,6 @@ fn marginals_pass_ks_against_gaussian() {
             r.statistic
         );
     }
-}
-
-/// End-to-end ATM path: a video frame -> AAL5 PDU -> cells -> corrupt one
-/// header bit -> HEC-correct -> reassemble; then police the cell stream.
-#[test]
-fn video_frame_over_aal5_with_hec_and_gcra() {
-    let header = CellHeader {
-        gfc: 0,
-        vpi: 9,
-        vci: 900,
-        pt: PayloadType::User0,
-        clp: false,
-    };
-    // A "video frame" of 23,992 bytes -> exactly 500 cells.
-    let frame_bytes: Vec<u8> = (0..23_992).map(|i| (i % 256) as u8).collect();
-    let cells = atm::segment(&frame_bytes, header);
-    assert_eq!(cells.len(), 500);
-
-    // Serialize, corrupt one header bit in one cell, parse back.
-    let mut recovered = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        let mut bytes = cell.to_bytes();
-        if i == 250 {
-            bytes[1] ^= 0x04;
-        }
-        recovered.push(atm::Cell::from_bytes(&bytes).expect("HEC corrects single-bit"));
-    }
-    let pdu = atm::reassemble(&recovered).expect("reassembly");
-    assert_eq!(pdu, frame_bytes);
-
-    // The smoothed 500-cell frame conforms to a PCR policer at the frame
-    // rate with one-cell CDVT.
-    let mut gcra = atm::Gcra::peak_rate(500.0 / paper::TS, 1e-6);
-    for j in 0..500 {
-        let t = j as f64 * paper::TS / 500.0;
-        assert_eq!(gcra.police(t), atm::GcraOutcome::Conforming, "cell {j}");
-    }
-}
-
-/// CLP priority: tag an LRD source's excess as CLP=1 via an SCR policer,
-/// feed both classes to the threshold queue — high-priority loss must be far
-/// below the aggregate FIFO loss.
-#[test]
-fn clp_threshold_protects_conforming_traffic() {
-    let z = paper::build_z(0.99);
-    let mut rng = Xoshiro256PlusPlus::from_seed_u64(555);
-    let capacity = 30.0 * 538.0;
-    let buffer = 600.0;
-    let mut pq = PriorityQueue::new(capacity, buffer, 120.0);
-    let mut fifo = vbr_sim::FluidQueue::finite(capacity, buffer);
-
-    // 30 aggregated sources; per frame, the first `mean` cells are "in
-    // contract" (CLP 0), the excess is tagged CLP 1 — a crude but standard
-    // UPC model at frame granularity.
-    let contract = 30.0 * 510.0;
-    let mut sources: Vec<Box<dyn FrameProcess>> =
-        (0..30).map(|_| z.boxed_clone()).collect();
-    for s in sources.iter_mut() {
-        s.reset(&mut rng);
-    }
-    for _ in 0..30_000 {
-        let agg: f64 = sources.iter_mut().map(|s| s.next_frame(&mut rng)).sum();
-        let high = agg.min(contract);
-        let low = agg - high;
-        pq.offer(high, low);
-        fifo.offer(agg);
-    }
-
-    let high_clr = pq.high_account().clr();
-    let fifo_clr = fifo.account().clr();
-    if fifo_clr > 0.0 {
-        assert!(
-            high_clr < fifo_clr,
-            "CLP-0 CLR {high_clr:e} must beat FIFO aggregate {fifo_clr:e}"
-        );
-    }
-    // Tagged traffic bears the brunt.
-    assert!(pq.low_account().clr() >= high_clr);
 }
 
 /// Dimensioning inverses compose with the model zoo: the buffer the inverse

@@ -357,21 +357,16 @@ fn corrupt_bop_histogram_in_checkpoint_is_a_parse_error_not_a_panic() {
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
 
-    // Downgrade the damaged file to v1 (no checksum line) to reach the
-    // record parser itself: the inconsistent histogram must be a typed
-    // parse error naming the bop line, not a panic.
-    let v1: Vec<String> = corrupted
+    // Re-stamp a valid checksum over the damaged body to reach the record
+    // parser itself: the inconsistent histogram must be a typed parse error
+    // naming the bop line, not a panic.
+    let body: String = corrupted
         .iter()
         .filter(|l| !l.starts_with("checksum "))
-        .map(|l| {
-            if l.starts_with("vbr-sim-checkpoint") {
-                "vbr-sim-checkpoint v1".to_string()
-            } else {
-                l.clone()
-            }
-        })
+        .map(|l| format!("{l}\n"))
         .collect();
-    std::fs::write(&path, v1.join("\n") + "\n").expect("write v1");
+    let restamped = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
+    std::fs::write(&path, restamped).expect("write re-stamped");
     match verify_checkpoint(&path, &cfg) {
         Err(SimError::Checkpoint {
             kind: CheckpointErrorKind::Parse { message, .. },
@@ -391,6 +386,22 @@ fn corrupt_bop_histogram_in_checkpoint_is_a_parse_error_not_a_panic() {
     let out = run(&proto, &cfg, &opts).expect("fallback run");
     assert_eq!(rec.count("checkpoint_fallback"), 1);
     assert_eq!(out.provenance.completed, cfg.replications);
+
+    // A v1 header (the checksum-less format) is no longer read.
+    let v1 = std::fs::read_to_string(&path)
+        .expect("read rewritten checkpoint")
+        .replacen("vbr-sim-checkpoint v2", "vbr-sim-checkpoint v1", 1);
+    std::fs::write(&path, v1).expect("write v1 header");
+    match verify_checkpoint(&path, &cfg) {
+        Err(SimError::Checkpoint {
+            kind: CheckpointErrorKind::VersionMismatch {
+                found: 1,
+                expected: 2,
+            },
+            ..
+        }) => {}
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(dir.join("bad_bop.ckpt.prev"));
 }
@@ -522,4 +533,11 @@ fn model_constructors_reject_bad_parameters_without_panicking() {
     assert!(DarProcess::try_new(DarParams::dar1(1.5, Marginal::paper_gaussian())).is_err());
     let e = DarProcess::try_new(DarParams::dar1(-0.1, Marginal::paper_gaussian())).unwrap_err();
     assert!(e.to_string().contains("rho"), "{e}");
+}
+
+/// FNV-1a, the checkpoint's content checksum, for re-stamping an edited file.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }

@@ -2,8 +2,6 @@
 
 use proptest::prelude::*;
 use vbr_asymptotics::{critical_time_scale, SourceStats, VarianceFunction};
-use vbr_atm::cell::{hec, verify_and_correct, Cell, CellHeader, HecStatus, PayloadType, PAYLOAD_SIZE};
-use vbr_atm::{Gcra, GcraOutcome, Spacer};
 use vbr_models::{DarParams, DarProcess, FrameProcess, Marginal};
 use vbr_sim::{BopEstimator, FluidQueue};
 use vbr_stats::linalg::{levinson_durbin, solve_dense, solve_toeplitz};
@@ -326,76 +324,6 @@ proptest! {
         }
     }
 
-    /// HEC: encode -> corrupt one random header bit -> decode must correct it
-    /// back to the original header for every field combination.
-    #[test]
-    fn hec_corrects_any_single_bit(
-        gfc in 0u8..16,
-        vpi in 0u16..256,
-        vci: u16,
-        pt_bits in 0u8..8,
-        clp: bool,
-        byte in 0usize..5,
-        bit in 0u8..8,
-    ) {
-        let header = CellHeader {
-            gfc,
-            vpi,
-            vci,
-            pt: PayloadType::from_bits(pt_bits),
-            clp,
-        };
-        let four = header.encode_uni();
-        let mut five = [four[0], four[1], four[2], four[3], hec(&four)];
-        let original = five;
-        five[byte] ^= 1 << bit;
-        let status = verify_and_correct(&mut five);
-        prop_assert_eq!(status, HecStatus::Corrected { byte, mask: 1 << bit });
-        prop_assert_eq!(five, original);
-    }
-
-    /// Cell serialization roundtrip for arbitrary payloads.
-    #[test]
-    fn cell_roundtrip(payload in proptest::collection::vec(any::<u8>(), PAYLOAD_SIZE)) {
-        let header = CellHeader {
-            gfc: 1,
-            vpi: 7,
-            vci: 77,
-            pt: PayloadType::User0,
-            clp: false,
-        };
-        let mut buf = [0u8; PAYLOAD_SIZE];
-        buf.copy_from_slice(&payload);
-        let cell = Cell::new(header, buf);
-        let parsed = Cell::from_bytes(&cell.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, cell);
-    }
-
-    /// Spacer/GCRA duality: any arrival sequence shaped at gap T conforms to
-    /// GCRA(T, ~0) — and the spacer preserves order and causality.
-    #[test]
-    fn shaped_stream_conforms(
-        gaps in proptest::collection::vec(0.0f64..0.5, 1..100),
-        t in 0.01f64..0.3,
-    ) {
-        let mut arrivals = Vec::with_capacity(gaps.len());
-        let mut now = 0.0;
-        for g in gaps {
-            now += g;
-            arrivals.push(now);
-        }
-        let mut spacer = Spacer::new(t);
-        let mut police = Gcra::new(t, 1e-9);
-        let mut last = f64::NEG_INFINITY;
-        for &a in &arrivals {
-            let d = spacer.depart(a);
-            prop_assert!(d >= a, "causality");
-            prop_assert!(d >= last, "order");
-            prop_assert_eq!(police.police(d), GcraOutcome::Conforming);
-            last = d;
-        }
-    }
-
     /// DAR marginal invariance: the sample mean of any DAR(1) stays near the
     /// marginal mean regardless of rho (rho only slows mixing).
     #[test]
@@ -418,87 +346,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// AAL5 roundtrip for arbitrary payload lengths (covers every padding
-    /// residue class around the 48-byte boundary).
-    #[test]
-    fn aal5_roundtrip_any_length(len in 0usize..4096, seed: u64) {
-        use vbr_atm::aal5::{reassemble, segment, cells_for_payload};
-        use vbr_atm::cell::{CellHeader, PayloadType};
-        let mut rng = Xoshiro256PlusPlus::from_seed_u64(seed);
-        use rand::RngCore as _;
-        let mut payload = vec![0u8; len];
-        rng.fill_bytes(&mut payload);
-        let header = CellHeader {
-            gfc: 0,
-            vpi: 5,
-            vci: 55,
-            pt: PayloadType::User0,
-            clp: false,
-        };
-        let cells = segment(&payload, header);
-        prop_assert_eq!(cells.len(), cells_for_payload(len));
-        let back = reassemble(&cells).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(back, payload);
-    }
-
-    /// Priority queue conservation and priority-ordering invariants under
-    /// arbitrary two-class arrivals.
-    #[test]
-    fn priority_queue_invariants(
-        capacity in 10.0f64..500.0,
-        buffer in 0.0f64..800.0,
-        thresh_frac in 0.0f64..1.0,
-        arrivals in proptest::collection::vec((0.0f64..900.0, 0.0f64..900.0), 1..120),
-    ) {
-        use vbr_sim::PriorityQueue;
-        let threshold = buffer * thresh_frac;
-        let mut q = PriorityQueue::new(capacity, buffer, threshold);
-        for &(h, l) in &arrivals {
-            let (hl, ll) = q.offer(h, l);
-            prop_assert!(hl >= 0.0 && ll >= 0.0);
-            prop_assert!(hl <= h + 1e-9 && ll <= l + 1e-9);
-            prop_assert!((0.0..=buffer + 1e-9).contains(&q.workload()));
-        }
-        let high = q.high_account();
-        let low = q.low_account();
-        let offered: f64 = arrivals.iter().map(|&(h, l)| h + l).sum();
-        prop_assert!((high.offered + low.offered - offered).abs() < 1e-6 * offered.max(1.0));
-        // Mass balance: everything offered is lost, queued, or served; and
-        // served work cannot exceed capacity x frames.
-        let served = offered - high.lost - low.lost - q.workload();
-        prop_assert!(served >= -1e-9);
-        prop_assert!(served <= capacity * arrivals.len() as f64 + 1e-9);
-    }
-
-    /// The high-priority class never does worse under partial buffer
-    /// sharing than the same class in a FIFO sharing the buffer with the
-    /// low class.
-    #[test]
-    fn priority_protects_high_class_vs_fifo(
-        arrivals in proptest::collection::vec((0.0f64..400.0, 0.0f64..400.0), 5..80),
-    ) {
-        use vbr_sim::{FluidQueue, PriorityQueue};
-        let capacity = 200.0;
-        let buffer = 150.0;
-        let mut pq = PriorityQueue::new(capacity, buffer, 30.0);
-        let mut fifo = FluidQueue::finite(capacity, buffer);
-        let mut fifo_high_lost = 0.0;
-        for &(h, l) in &arrivals {
-            pq.offer(h, l);
-            // In FIFO, high and low share fate proportionally.
-            let lost = fifo.offer(h + l);
-            if h + l > 0.0 {
-                fifo_high_lost += lost * h / (h + l);
-            }
-        }
-        prop_assert!(
-            pq.high_account().lost <= fifo_high_lost + 1e-6,
-            "priority high loss {} vs FIFO-share {}",
-            pq.high_account().lost,
-            fifo_high_lost
-        );
-    }
 
     /// F-ARIMA ACF is a valid, positive, decreasing correlation sequence
     /// for every d, and Levinson accepts it (PSD check).
