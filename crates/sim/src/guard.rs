@@ -10,9 +10,7 @@
 //! `root.split(replication)`.
 
 use crate::error::{FaultSite, NumericFault, SimError};
-use rand::RngCore;
 use std::sync::Arc;
-use vbr_models::FrameProcess;
 use vbr_obs::GuardTripCounters;
 
 /// Per-replication numeric guard: validates frame-rate and queue values,
@@ -50,11 +48,6 @@ impl Guard {
         self.frame
     }
 
-    /// Advances the frame counter — call once per simulated frame.
-    pub fn advance(&mut self) {
-        self.frame += 1;
-    }
-
     /// Advances the frame counter by a whole batch of frames.
     pub fn advance_by(&mut self, frames: u64) {
         self.frame += frames;
@@ -84,24 +77,9 @@ impl Guard {
         })
     }
 
-    /// Validates a frame-size value at `site`: must be finite and
-    /// non-negative (frame sizes are rates in cells/frame).
-    #[inline]
-    pub fn check(&self, value: f64, site: FaultSite) -> Result<f64, SimError> {
-        if value.is_finite() && value >= 0.0 {
-            Ok(value)
-        } else {
-            Err(self.fault(value, site))
-        }
-    }
-
-    /// Validates one source's output for the current frame.
-    #[inline]
-    pub fn check_source(&self, source: usize, value: f64) -> Result<f64, SimError> {
-        self.check(value, FaultSite::Source(source))
-    }
-
-    /// Validates one source's output `offset` frames into the current batch.
+    /// Validates one source's output `offset` frames into the current
+    /// batch: a frame size is a rate in cells/frame, so it must be finite
+    /// and non-negative.
     #[inline]
     pub fn check_source_at(&self, offset: u64, source: usize, value: f64) -> Result<f64, SimError> {
         if value.is_finite() && value >= 0.0 {
@@ -114,10 +92,15 @@ impl Guard {
     /// Validates a batch of per-frame values produced at `site`, attributing
     /// the first bad value to its exact frame (`self.frame() + index`).
     ///
-    /// This is the per-batch form of calling [`check`](Self::check) once per
-    /// frame: the fault carries the same site, value and frame index, only
-    /// the scan happens after the whole batch is produced.
+    /// This is the per-batch form of checking every frame as it is made:
+    /// the fault carries the same site, value and frame index, only the
+    /// scan happens after the whole batch is produced. A clean batch is
+    /// recognised by a branch-free scan over 8 lanes; only a faulty one is
+    /// walked value by value to find its first fault.
     pub fn check_batch(&self, values: &[f64], site: FaultSite) -> Result<(), SimError> {
+        if all_valid(values) {
+            return Ok(());
+        }
         for (i, &v) in values.iter().enumerate() {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(self.fault_at(i as u64, v, site));
@@ -146,27 +129,40 @@ impl Guard {
         }
         Ok(())
     }
+}
 
-    /// Draws one frame from every source, validating each output, and
-    /// returns the validated aggregate.
-    #[inline]
-    pub fn aggregate_frame(
-        &self,
-        sources: &mut [Box<dyn FrameProcess>],
-        rng: &mut dyn RngCore,
-    ) -> Result<f64, SimError> {
-        let mut aggregate = 0.0;
-        for (i, s) in sources.iter_mut().enumerate() {
-            aggregate += self.check_source(i, s.next_frame(rng))?;
+/// Lanes of [`all_valid`]'s scan: enough independent accumulators to keep
+/// the scan throughput-bound rather than latency-bound.
+const SCAN_LANES: usize = 8;
+
+/// Whether every value is finite and `>= 0`, decided without a branch per
+/// value. Each lane keeps the minimum of its values, which is below `0`
+/// exactly when some value is negative, and the sum of `v · 0`, which is a
+/// zero for a finite `v` and NaN for a NaN or an infinity, and stays NaN
+/// once it is. `-0.0` and subnormals pass, as they pass the scalar check.
+fn all_valid(values: &[f64]) -> bool {
+    let mut min = [0.0f64; SCAN_LANES];
+    let mut nonfinite = [0.0f64; SCAN_LANES];
+    let mut scan = |chunk: &[f64]| {
+        for ((m, z), &v) in min.iter_mut().zip(nonfinite.iter_mut()).zip(chunk) {
+            // Compare-select rather than `f64::min`: a NaN is caught by the
+            // other accumulator, so its NaN handling is not needed here.
+            *m = if v < *m { v } else { *m };
+            *z += v * 0.0;
         }
-        // Summing finite non-negatives can only overflow to +inf, catch it.
-        self.check(aggregate, FaultSite::Aggregate)
-    }
+    };
+    let chunks = values.chunks_exact(SCAN_LANES);
+    let tail = chunks.remainder();
+    chunks.for_each(&mut scan);
+    scan(tail);
+    min.iter().all(|&m| m >= 0.0) && nonfinite.iter().all(|&z| z == 0.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+    use vbr_models::FrameProcess;
     use vbr_stats::rng::Xoshiro256PlusPlus;
 
     /// A process that misbehaves after a configurable number of frames.
@@ -211,15 +207,15 @@ mod tests {
     #[test]
     fn clean_values_pass_through() {
         let g = Guard::new(0, 1);
-        assert_eq!(g.check(5.0, FaultSite::Aggregate).unwrap(), 5.0);
-        assert_eq!(g.check(0.0, FaultSite::Aggregate).unwrap(), 0.0);
+        assert_eq!(g.check_source_at(0, 0, 5.0).unwrap(), 5.0);
+        assert_eq!(g.check_source_at(0, 0, 0.0).unwrap(), 0.0);
     }
 
     #[test]
     fn nan_inf_negative_all_fault() {
         let g = Guard::new(3, 9);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-            let err = g.check(bad, FaultSite::Source(2)).unwrap_err();
+            let err = g.check_source_at(0, 2, bad).unwrap_err();
             match err {
                 SimError::NumericFault(f) => {
                     assert_eq!(f.replication, 3);
@@ -231,8 +227,10 @@ mod tests {
         }
     }
 
+    /// The first bad value of a multi-source batch is pinned to its source
+    /// and frame, however many clean draws come before it.
     #[test]
-    fn aggregate_pins_offending_source_and_frame() {
+    fn source_check_pins_offending_source_and_frame() {
         let clean = Poisoned {
             after: u64::MAX,
             emitted: 0,
@@ -246,17 +244,13 @@ mod tests {
         let mut sources: Vec<Box<dyn FrameProcess>> =
             vec![Box::new(clean), Box::new(poisoned)];
         let mut rng = Xoshiro256PlusPlus::from_seed_u64(1);
-        let mut g = Guard::new(0, 42);
-        let mut failure = None;
-        for _ in 0..10 {
-            match g.aggregate_frame(&mut sources, &mut rng) {
-                Ok(_) => g.advance(),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
+        let g = Guard::new(0, 42);
+        let failure = (0..10u64).find_map(|offset| {
+            sources
+                .iter_mut()
+                .enumerate()
+                .find_map(|(i, s)| g.check_source_at(offset, i, s.next_frame(&mut rng)).err())
+        });
         match failure.expect("must fault") {
             SimError::NumericFault(f) => {
                 assert_eq!(f.site, FaultSite::Source(1));

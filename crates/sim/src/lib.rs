@@ -64,7 +64,7 @@ pub use checkpoint::{
 pub use error::{CheckpointErrorKind, FaultSite, NumericFault, SimError};
 pub use guard::Guard;
 pub use trace::TraceProcess;
-pub use queue::{BopEstimator, FluidQueue, LossAccount};
+pub use queue::{BopEstimator, BufferBank, FluidQueue, LossAccount};
 pub use retry::RetryPolicy;
 pub use runner::{
     run, run_mix, simulate_clr, simulate_clr_mix, ClrEstimate, Provenance, RunOptions, SimConfig,

@@ -1,4 +1,6 @@
-//! Frame-level fluid queue and the infinite-buffer survival estimator.
+//! Frame-level fluid queue, the buffer bank that sweeps a grid of them
+//! together with the infinite-buffer queue, and the infinite-buffer survival
+//! estimator.
 
 /// Running totals of offered and lost traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -180,23 +182,16 @@ impl FluidQueue {
     /// Zero workloads are `+0.0` bits on both sides of every comparison:
     /// `max(·, 0.0)` never returns `-0.0` here, and
     /// [`finite`](Self::finite) stores a `-0.0` buffer as `+0.0`.
+    ///
+    /// Each call starts the reference from the largest lane workload. A
+    /// [`BufferBank`] keeps it across calls instead, as the infinite-buffer
+    /// queue whose workload the BOP estimate samples.
     pub fn offer_batch_bank(queues: &mut [FluidQueue], arrivals: &[f64]) {
         let Some(first) = queues.first() else {
             return;
         };
         let cap = first.capacity;
-        // `offered` does not depend on the buffer: queues that enter with
-        // the same total leave with the same total.
-        let mut previous: Option<(u64, f64)> = None;
-        for q in queues.iter_mut() {
-            let start = q.account.offered.to_bits();
-            let total = match previous {
-                Some((bits, total)) if bits == start => total,
-                _ => arrivals.iter().fold(q.account.offered, |o, &x| o + x),
-            };
-            previous = Some((start, total));
-            q.account.offered = total;
-        }
+        add_offered(queues, arrivals);
         if queues.iter().any(|q| q.capacity != cap) {
             // No common reference: step every queue.
             for chunk in queues.chunks_mut(BANK_LANES) {
@@ -204,84 +199,17 @@ impl FluidQueue {
             }
             return;
         }
-
-        let floor = queues
-            .iter()
-            .map(|q| q.bound())
-            .fold(f64::INFINITY, f64::min);
         let mut r = queues.iter().map(|q| q.workload).fold(0.0, f64::max);
-        // Queues below the reference at entry (a previous call ended inside
-        // an excursion) are stepped through the first excursion.
-        let mut entry = queues.iter().any(|q| q.workload.to_bits() != r.to_bits());
-        let mut n = 0;
-        loop {
-            if !entry {
-                // Every queue equals `r`: advance it alone until it rises
-                // above the smallest buffer.
-                while n < arrivals.len() {
-                    let x = arrivals[n];
-                    debug_assert!(x >= 0.0, "negative arrivals {x}");
-                    // An empty queue stays `+0.0` under a frame of at most
-                    // `c` (`max(x − c, 0.0)`): skip the serial arithmetic.
-                    if r == 0.0 && x <= cap {
-                        n += 1;
-                        continue;
-                    }
-                    let next = (r + x - cap).max(0.0);
-                    if next > floor {
-                        break;
-                    }
-                    r = next;
-                    n += 1;
-                }
-                if n == arrivals.len() {
-                    for q in queues.iter_mut() {
-                        q.workload = r;
-                    }
-                    return;
-                }
-            }
-            // An excursion: run `r` until it is 0 again or the batch ends,
-            // then step every queue it may have moved.
-            let (start, r_start, mut peak) = (n, r, r);
-            while n < arrivals.len() {
-                let x = arrivals[n];
-                debug_assert!(x >= 0.0, "negative arrivals {x}");
-                r = (r + x - cap).max(0.0);
-                peak = peak.max(r);
-                n += 1;
-                if r == 0.0 {
-                    break;
-                }
-            }
-            // A queue the excursion leaves coupled takes `r` now: at the
-            // batch end it is the queue's workload; otherwise the next
-            // excursion or the batch end overwrites it.
-            let lanes = queues.iter_mut().filter_map(|q| {
-                let below = entry && q.workload.to_bits() != r_start.to_bits();
-                if below || q.bound() < peak {
-                    if !below {
-                        // Coupled until this excursion.
-                        q.workload = r_start;
-                    }
-                    Some(q)
-                } else {
-                    q.workload = r;
-                    None
-                }
-            });
-            step_lanes(lanes, &arrivals[start..n]);
-            entry = false;
-            if n == arrivals.len() {
-                return;
-            }
-        }
+        sweep(queues, cap, &mut r, arrivals, None);
     }
 
     /// Offers a batch and records every post-offer workload in `est` — the
     /// batched form of alternating `offer` / `BopEstimator::observe` per
     /// frame on an infinite-buffer queue (finite buffers work too; the
     /// clamped workload is observed, as the scalar interleave would).
+    ///
+    /// This is the per-queue oracle for [`BufferBank::offer`]'s BOP lane;
+    /// the runner does not call it.
     pub fn offer_batch_observing(&mut self, arrivals: &[f64], est: &mut BopEstimator) {
         let cap = self.capacity;
         let mut offered = self.account.offered;
@@ -349,6 +277,224 @@ impl FluidQueue {
     pub fn clear_accounts(&mut self) {
         self.account = LossAccount::default();
     }
+}
+
+/// The finite-buffer grid of one multiplexer swept together with the
+/// infinite-buffer queue at the same capacity.
+///
+/// The infinite-buffer workload `r ← max(r + x − c, 0)` is the reference
+/// lane of [`FluidQueue::offer_batch_bank`], kept across calls rather than
+/// restarted from the largest finite workload. It is also the queue whose
+/// workload the [`BopEstimator`] samples for `P(W > b)`, so one serial
+/// recursion per frame serves both the CLR sweep and the BOP estimate.
+#[derive(Debug, Clone)]
+pub struct BufferBank {
+    queues: Vec<FluidQueue>,
+    capacity: f64,
+    /// Workload of the infinite-buffer queue: at least every finite
+    /// queue's, since all of them saw the same arrivals from empty.
+    infinite: f64,
+}
+
+impl BufferBank {
+    /// One empty finite queue per buffer, in grid order, and an empty
+    /// infinite-buffer queue, all at `capacity_per_frame`.
+    ///
+    /// # Panics
+    /// Panics on an invalid capacity or buffer, as [`FluidQueue::finite`].
+    pub fn new(capacity_per_frame: f64, buffers: &[f64]) -> Self {
+        assert!(
+            capacity_per_frame > 0.0 && capacity_per_frame.is_finite(),
+            "invalid capacity {capacity_per_frame}"
+        );
+        Self {
+            queues: buffers
+                .iter()
+                .map(|&b| FluidQueue::finite(capacity_per_frame, b))
+                .collect(),
+            capacity: capacity_per_frame,
+            infinite: 0.0,
+        }
+    }
+
+    /// Offers a batch to every finite queue and to the infinite-buffer
+    /// queue and, given `bop`, records the infinite-buffer workload after
+    /// every frame in it.
+    ///
+    /// Bit-identical to one [`FluidQueue::offer_batch`] per finite queue
+    /// plus [`FluidQueue::offer_batch_observing`] (or `offer_batch` when
+    /// `bop` is `None`) on a [`FluidQueue::infinite`]. Between excursions
+    /// every frame's workload is at most the smallest buffer; when that is
+    /// at most `bop`'s first threshold those frames are counted into its
+    /// first bucket at once, otherwise they are observed one by one.
+    pub fn offer(&mut self, arrivals: &[f64], bop: Option<&mut BopEstimator>) {
+        add_offered(&mut self.queues, arrivals);
+        sweep(
+            &mut self.queues,
+            self.capacity,
+            &mut self.infinite,
+            arrivals,
+            bop,
+        );
+    }
+
+    /// The finite queues, in grid order.
+    pub fn queues(&self) -> &[FluidQueue] {
+        &self.queues
+    }
+
+    /// Current workload of the infinite-buffer queue (cells).
+    pub fn infinite_workload(&self) -> f64 {
+        self.infinite
+    }
+
+    /// Zeroes every finite queue's loss counters and keeps all workloads
+    /// (see [`FluidQueue::clear_accounts`]).
+    pub fn clear_accounts(&mut self) {
+        for q in self.queues.iter_mut() {
+            q.clear_accounts();
+        }
+    }
+}
+
+/// Adds the batch to every queue's `offered`. It does not depend on the
+/// buffer: queues that enter with the same total leave with the same total,
+/// so the sum is taken once per run of such queues.
+fn add_offered(queues: &mut [FluidQueue], arrivals: &[f64]) {
+    let mut previous: Option<(u64, f64)> = None;
+    for q in queues.iter_mut() {
+        let start = q.account.offered.to_bits();
+        let total = match previous {
+            Some((bits, total)) if bits == start => total,
+            _ => arrivals.iter().fold(q.account.offered, |o, &x| o + x),
+        };
+        previous = Some((start, total));
+        q.account.offered = total;
+    }
+}
+
+/// The reference-lane sweep behind [`FluidQueue::offer_batch_bank`] and
+/// [`BufferBank::offer`], for queues that share capacity `cap` and have
+/// `offered` already added. `r` is the reference's workload, at least every
+/// queue's; it ends as the infinite-buffer workload after the batch. Given
+/// `bop`, every post-offer `r` is recorded in it.
+fn sweep(
+    queues: &mut [FluidQueue],
+    cap: f64,
+    r: &mut f64,
+    arrivals: &[f64],
+    mut bop: Option<&mut BopEstimator>,
+) {
+    let floor = queues
+        .iter()
+        .map(|q| q.bound())
+        .fold(f64::INFINITY, f64::min);
+    // Between excursions the reference is at most `floor`: those frames
+    // land in the first bucket whenever `floor` is at most its threshold.
+    let bulk = !matches!(&bop, Some(est) if est.thresholds[0] < floor);
+    let mut w = *r;
+    // Queues below the reference at entry (a previous call ended inside an
+    // excursion) are stepped through the first excursion.
+    let mut entry = queues.iter().any(|q| q.workload.to_bits() != w.to_bits());
+    let mut n = 0;
+    loop {
+        if !entry {
+            // Every queue equals the reference: advance it alone until it
+            // rises above the smallest buffer.
+            let calm = &arrivals[n..];
+            n += match bop.as_deref_mut() {
+                Some(est) if !bulk => advance_calm(&mut w, calm, cap, floor, |v| est.observe(v)),
+                est => {
+                    let frames = advance_calm(&mut w, calm, cap, floor, |_| {});
+                    if let Some(est) = est {
+                        est.observe_first_bucket(frames as u64);
+                    }
+                    frames
+                }
+            };
+            if n == arrivals.len() {
+                for q in queues.iter_mut() {
+                    q.workload = w;
+                }
+                *r = w;
+                return;
+            }
+        }
+        // An excursion: run the reference until it is 0 again or the batch
+        // ends, then step every queue it may have moved.
+        let (start, w_start, mut peak) = (n, w, w);
+        while n < arrivals.len() {
+            let x = arrivals[n];
+            debug_assert!(x >= 0.0, "negative arrivals {x}");
+            w = (w + x - cap).max(0.0);
+            if let Some(est) = bop.as_deref_mut() {
+                est.observe(w);
+            }
+            peak = peak.max(w);
+            n += 1;
+            if w == 0.0 {
+                break;
+            }
+        }
+        // A queue the excursion leaves coupled takes the reference now: at
+        // the batch end it is the queue's workload; otherwise the next
+        // excursion or the batch end overwrites it.
+        let lanes = queues.iter_mut().filter_map(|q| {
+            let below = entry && q.workload.to_bits() != w_start.to_bits();
+            if below || q.bound() < peak {
+                if !below {
+                    // Coupled until this excursion.
+                    q.workload = w_start;
+                }
+                Some(q)
+            } else {
+                q.workload = w;
+                None
+            }
+        });
+        step_lanes(lanes, &arrivals[start..n]);
+        entry = false;
+        if n == arrivals.len() {
+            *r = w;
+            return;
+        }
+    }
+}
+
+/// Advances the reference `r` through `arrivals` while it stays at or below
+/// `floor`, passing each post-offer workload to `observe`, and returns the
+/// frames consumed. The frame that would lift `r` above `floor` is left for
+/// the excursion loop.
+#[inline(always)]
+fn advance_calm(
+    r: &mut f64,
+    arrivals: &[f64],
+    cap: f64,
+    floor: f64,
+    mut observe: impl FnMut(f64),
+) -> usize {
+    let mut w = *r;
+    let mut n = 0;
+    while n < arrivals.len() {
+        let x = arrivals[n];
+        debug_assert!(x >= 0.0, "negative arrivals {x}");
+        // An empty queue stays `+0.0` under a frame of at most `c`
+        // (`max(x − c, 0.0)`): skip the serial arithmetic.
+        if w == 0.0 && x <= cap {
+            observe(w);
+            n += 1;
+            continue;
+        }
+        let next = (w + x - cap).max(0.0);
+        if next > floor {
+            break;
+        }
+        w = next;
+        observe(w);
+        n += 1;
+    }
+    *r = w;
+    n
 }
 
 /// Steps `lanes` through `arrivals` [`BANK_LANES`] at a time, frame-major:
@@ -440,6 +586,13 @@ impl BopEstimator {
         };
         self.buckets[idx] += 1;
         self.total += 1;
+    }
+
+    /// Records `count` observations known to be at most the first
+    /// threshold, as `count` calls to [`observe`](Self::observe) would.
+    fn observe_first_bucket(&mut self, count: u64) {
+        self.buckets[0] += count;
+        self.total += count;
     }
 
     /// Reconstructs an estimator from its raw histogram — the checkpoint

@@ -28,7 +28,7 @@ use crate::checkpoint::{self, CheckpointPolicy};
 use crate::error::SimError;
 use crate::fault;
 use crate::guard::Guard;
-use crate::queue::{BopEstimator, FluidQueue, LossAccount};
+use crate::queue::{BopEstimator, BufferBank, LossAccount};
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -450,18 +450,10 @@ fn run_replication_sources(
         s.reset(&mut rng);
     }
 
-    let total_capacity = config.total_capacity();
-    let mut queues: Vec<FluidQueue> = config
-        .buffers_total
-        .iter()
-        .map(|&b| FluidQueue::finite(total_capacity, b))
-        .collect();
-    let mut infinite = config.track_bop.then(|| {
-        (
-            FluidQueue::infinite(total_capacity),
-            BopEstimator::new(config.buffers_total.clone()),
-        )
-    });
+    let mut bank = BufferBank::new(config.total_capacity(), &config.buffers_total);
+    let mut bop = config
+        .track_bop
+        .then(|| BopEstimator::new(config.buffers_total.clone()));
 
     let mut guard = Guard::new(rep, config.seed);
     if let Some(o) = obs {
@@ -471,13 +463,14 @@ fn run_replication_sources(
     let total_frames = config.warmup_frames + config.frames_per_replication;
 
     // Block-oriented hot loop: advance the sources a whole batch of frames
-    // into one aggregate-arrivals buffer, offer it to the whole finite-buffer
-    // bank in one call (`offer_batch_bank`), scan every queue with the
-    // guard, and run the infinite-buffer BOP queue. The bank follows one
-    // reference lane (the infinite-buffer recursion) and steps a buffer
-    // only while that lane is above it, so at the paper's loads, where the
-    // queue is empty in almost every frame, the sweep costs about one
-    // serial recursion per frame however many buffers the grid has.
+    // into one aggregate-arrivals buffer, offer it to the buffer bank in one
+    // call (`BufferBank::offer`), and scan every finite queue with the
+    // guard. The bank follows one reference lane, the infinite-buffer
+    // queue, which also feeds the BOP estimator after the warm-up, and
+    // steps a finite buffer only while that lane is above it. At the
+    // paper's loads, where the queue is empty in almost every frame, the
+    // sweep and the BOP estimate together cost about one pass over the
+    // batch however many buffers the grid has.
     // Results are bit-identical to the per-frame loop: sources draw from
     // the shared stream in the same order, and every queue ends with the
     // bits its own `offer_batch` would give. The batch form only hoists
@@ -494,9 +487,7 @@ fn run_replication_sources(
     let mut frame = 0usize;
     while frame < total_frames {
         if frame == config.warmup_frames {
-            for q in queues.iter_mut() {
-                q.clear_accounts();
-            }
+            bank.clear_accounts();
         }
         if let Some((t0, deadline)) = started {
             if t0.elapsed() > deadline {
@@ -522,22 +513,16 @@ fn run_replication_sources(
         }
         {
             let _s = span!("queue.sweep");
-            FluidQueue::offer_batch_bank(&mut queues, batch);
-            for (i, q) in queues.iter().enumerate() {
+            let measured = frame >= config.warmup_frames;
+            bank.offer(batch, bop.as_mut().filter(|_| measured));
+            for (i, q) in bank.queues().iter().enumerate() {
                 guard.check_queue(i, q).map_err(RepFailure::Fatal)?;
-            }
-            if let Some((q, est)) = infinite.as_mut() {
-                if frame >= config.warmup_frames {
-                    q.offer_batch_observing(batch, est);
-                } else {
-                    q.offer_batch(batch);
-                }
             }
         }
         if let Some(o) = obs {
             o.metrics.frames.add(batch.len() as u64);
             o.metrics.batches.add(1);
-            for q in queues.iter() {
+            for q in bank.queues() {
                 o.metrics.queue_depth.record(q.workload());
             }
             if let Some(t0) = batch_t0 {
@@ -557,11 +542,8 @@ fn run_replication_sources(
         }
     }
 
-    let accounts: Vec<LossAccount> = queues.iter().map(|q| q.account()).collect();
-    Ok(RepResult::from_accounts(
-        accounts,
-        infinite.map(|(_, est)| est),
-    ))
+    let accounts: Vec<LossAccount> = bank.queues().iter().map(|q| q.account()).collect();
+    Ok(RepResult::from_accounts(accounts, bop))
 }
 
 /// Advances every source through one batch, validating outputs and writing

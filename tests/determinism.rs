@@ -309,7 +309,7 @@ fn fill_frames_bit_identical_to_next_frame_for_every_model() {
 /// give bit-identical output for 1 and 4 worker threads.
 #[test]
 fn batched_runner_thread_count_invariant_on_fig8_models() {
-    for proto in [paper::build_z(0.9), paper::build_v(9.0)] {
+    for proto in [paper::build_z(0.9), paper::build_v(1.5)] {
         let cfg = SimConfig {
             n_sources: 4,
             capacity_per_source: 538.0,
@@ -406,10 +406,15 @@ fn buffer_bank_lane_position_is_invisible_to_results() {
 /// the warm-up and `offer_batch_observing` after it. Light load (c above
 /// the mean: the reference lane is mostly 0) and heavy load (c below it:
 /// the reference never empties, and every batch starts inside an
-/// excursion), at 1 and 2 threads, over a 33-buffer grid.
+/// excursion), over a 33-buffer grid from 0 and one from 10 (frames whose
+/// infinite-buffer workload lies in (0, 10] go to the first BOP bucket), at
+/// 1 and 2 threads and with a replication deadline, which runs 1024-frame
+/// batches, so excursions and the warm-up boundary fall inside and across
+/// other batch boundaries.
 #[test]
 fn runner_bank_and_bop_match_a_per_queue_oracle_at_light_and_heavy_load() {
-    use vbr_sim::{BopEstimator, FluidQueue, LossAccount, TraceProcess};
+    use std::time::Duration;
+    use vbr_sim::{BopEstimator, FluidQueue, LossAccount, TraceProcess, Watchdog};
     use vbr_stats::rng::Xoshiro256PlusPlus;
     use vbr_stats::ConfidenceInterval;
 
@@ -418,9 +423,9 @@ fn runner_bank_and_bop_match_a_per_queue_oracle_at_light_and_heavy_load() {
     let mut frames = vec![0.0; 20_000];
     source.fill_frames(&mut frames, &mut rng);
     let trace = TraceProcess::new(frames.iter().map(|x| x.max(0.0)).collect(), "ar1", 8);
-    let grid: Vec<f64> = (0..33).map(|i| 25.0 * i as f64).collect();
 
-    for capacity in [538.0, 476.0] {
+    for (start, capacity) in [(0.0, 538.0), (0.0, 476.0), (10.0, 538.0), (10.0, 476.0)] {
+        let grid: Vec<f64> = (0..33).map(|i| start + 25.0 * i as f64).collect();
         let cfg = SimConfig {
             n_sources: 1,
             capacity_per_source: capacity,
@@ -466,23 +471,33 @@ fn runner_bank_and_bop_match_a_per_queue_oracle_at_light_and_heavy_load() {
         }
         assert!(
             pooled[0].lost > 0.0,
-            "c={capacity}: the zero buffer must lose"
+            "start={start} c={capacity}: the first buffer must lose"
         );
         if capacity < 500.0 {
             assert!(
                 pooled[32].lost > 0.0,
-                "c={capacity}: heavy load loses at every buffer"
+                "start={start} c={capacity}: heavy load loses at every buffer"
             );
         }
 
-        for threads in [1, 2] {
+        let deadline = Watchdog {
+            replication_deadline: Some(Duration::from_secs(3600)),
+            ..Watchdog::default()
+        };
+        for (threads, watchdog) in [
+            (1, Watchdog::default()),
+            (2, Watchdog::default()),
+            (2, deadline),
+        ] {
             let options = RunOptions {
                 threads: Some(threads),
+                watchdog,
                 ..RunOptions::default()
             };
             let out = run(&trace, &cfg, &options).expect("trace run");
+            let run_at = format!("start={start} c={capacity} threads={threads} {watchdog:?}");
             for (i, b) in out.per_buffer.iter().enumerate() {
-                let at = format!("c={capacity} threads={threads} buffer {i}");
+                let at = format!("{run_at} buffer {i}");
                 assert_eq!(
                     b.pooled.offered.to_bits(),
                     pooled[i].offered.to_bits(),
@@ -508,7 +523,7 @@ fn runner_bank_and_bop_match_a_per_queue_oracle_at_light_and_heavy_load() {
                 .map(|&(_, p)| p.to_bits())
                 .collect();
             let expected: Vec<u64> = bop.survival().iter().map(|p| p.to_bits()).collect();
-            assert_eq!(survival, expected, "c={capacity} threads={threads}: BOP");
+            assert_eq!(survival, expected, "{run_at}: BOP");
         }
     }
 }

@@ -225,6 +225,164 @@ proptest! {
         prop_assert_eq!(est.buckets(), &expected[..]);
     }
 
+    /// A `BufferBank` with BOP equals, bit for bit, one `offer_batch` per
+    /// finite queue plus a `FluidQueue::infinite` fed by `offer_batch` in
+    /// unobserved warm-up calls and by `offer_batch_observing` after them,
+    /// with the accounts cleared at that boundary, as the runner does. After
+    /// every call the workloads, `offered`, `lost`, the infinite-buffer
+    /// workload, the buckets and the observation count all match. Covered:
+    /// ρ ≈ 0.93 and ρ ≈ 1.05; grids from 0 and from above 0, where frames
+    /// with a workload in (0, floor] must land in the first bucket; an
+    /// empty grid; thresholds equal to the grid, starting below the smallest
+    /// buffer (frames between excursions observed one by one) or above it;
+    /// random splits into calls, one right after a burst above the top
+    /// buffer, so an excursion above every buffer spans calls.
+    #[test]
+    fn buffer_bank_with_bop_bit_identical_to_per_queue_oracle(
+        (heavy, floor_zero, threshold_mode) in (any::<bool>(), any::<bool>(), 0u8..3),
+        (n_buffers, spacing, first) in (0usize..40, 1.0f64..60.0, 0.5f64..80.0),
+        (len, seed, burst_at) in (1usize..6000, any::<u64>(), 0usize..6000),
+        (cuts, warmup_calls) in (proptest::collection::vec(0usize..6000, 0..8), 0usize..4),
+    ) {
+        use rand::RngCore as _;
+        use vbr_sim::BufferBank;
+        let capacity = 100.0;
+        let mean = if heavy { 105.0 } else { 93.0 };
+        let base = if floor_zero { 0.0 } else { first };
+        let grid: Vec<f64> = (0..n_buffers).map(|i| base + spacing * i as f64).collect();
+        let thresholds: Vec<f64> = match (threshold_mode, grid.is_empty()) {
+            (_, true) => vec![first],
+            (0, false) => grid.clone(),
+            (1, false) => std::iter::once(base - 0.5 * spacing).chain(grid.iter().copied()).collect(),
+            _ => grid.iter().map(|b| b + 0.5 * spacing).collect(),
+        };
+        // A Gaussian-like AR(1) around the mean: excursions last many frames.
+        let mut rng = Xoshiro256PlusPlus::from_seed_u64(seed);
+        let mut a = 0.0;
+        let mut arrivals: Vec<f64> = (0..len)
+            .map(|_| {
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                a = 0.9 * a + 30.0 * (u - 0.5);
+                (mean + a).max(0.0)
+            })
+            .collect();
+        let top = grid.last().copied().unwrap_or(0.0);
+        let at = burst_at % (len + 1);
+        arrivals.insert(at, capacity + top + 50.0);
+        let mut points: Vec<usize> = cuts
+            .iter()
+            .map(|c| c % (arrivals.len() + 1))
+            .chain([0, at + 1, arrivals.len()])
+            .collect();
+        points.sort_unstable();
+
+        let mut queues: Vec<FluidQueue> =
+            grid.iter().map(|&b| FluidQueue::finite(capacity, b)).collect();
+        let mut infinite = FluidQueue::infinite(capacity);
+        let mut expected = BopEstimator::new(thresholds.clone());
+        let mut bank = BufferBank::new(capacity, &grid);
+        let mut bop = BopEstimator::new(thresholds.clone());
+        for (call, span) in points.windows(2).enumerate() {
+            let batch = &arrivals[span[0]..span[1]];
+            if call == warmup_calls {
+                for q in queues.iter_mut() {
+                    q.clear_accounts();
+                }
+                bank.clear_accounts();
+            }
+            for q in queues.iter_mut() {
+                q.offer_batch(batch);
+            }
+            if call < warmup_calls {
+                infinite.offer_batch(batch);
+                bank.offer(batch, None);
+            } else {
+                infinite.offer_batch_observing(batch, &mut expected);
+                bank.offer(batch, Some(&mut bop));
+            }
+            prop_assert_eq!(bank.queues().len(), queues.len());
+            for (i, (a, b)) in queues.iter().zip(bank.queues()).enumerate() {
+                prop_assert_eq!(a.workload().to_bits(), b.workload().to_bits(), "call {} workload {}", call, i);
+                prop_assert_eq!(
+                    a.account().offered.to_bits(),
+                    b.account().offered.to_bits(),
+                    "call {} offered {}",
+                    call,
+                    i
+                );
+                prop_assert_eq!(a.account().lost.to_bits(), b.account().lost.to_bits(), "call {} lost {}", call, i);
+            }
+            prop_assert_eq!(
+                infinite.workload().to_bits(),
+                bank.infinite_workload().to_bits(),
+                "call {} infinite workload",
+                call
+            );
+            prop_assert_eq!(expected.buckets(), bop.buckets(), "call {} buckets", call);
+            prop_assert_eq!(expected.observations(), bop.observations(), "call {} observations", call);
+        }
+    }
+
+    /// `Guard::check_batch`'s lane scan agrees with checking every value on
+    /// its own, in order (`check_source_at` per frame), on batches of 0 to
+    /// 70 values: shorter than, equal to and longer than the scan's 8
+    /// lanes, with remainders. NaNs (payload and sign kept), `±∞`, negative
+    /// values and negative subnormals are injected at random positions;
+    /// `-0.0`, subnormals and `f64::MAX` pass. Both return the same
+    /// `Ok`/`Err`, and a fault carries the same frame, site and value bits.
+    #[test]
+    fn guard_batch_scan_agrees_with_per_value_checks(
+        (len, base, source) in (0usize..=70, 0u64..1_000_000, 0usize..40),
+        seed in any::<u64>(),
+        faults in proptest::collection::vec((0usize..70, 0u8..6, any::<u64>()), 0..4),
+    ) {
+        use rand::RngCore as _;
+        use vbr_sim::{FaultSite, Guard, SimError};
+        let mut rng = Xoshiro256PlusPlus::from_seed_u64(seed);
+        let mut values: Vec<f64> = (0..len)
+            .map(|_| match rng.next_u64() % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                // Exponent bits 0: a subnormal (or zero).
+                2 => f64::from_bits(rng.next_u64() >> 12),
+                3 => f64::MAX,
+                _ => (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * 1e4,
+            })
+            .collect();
+        if len > 0 {
+            for &(at, kind, bits) in &faults {
+                values[at % len] = match kind {
+                    0 => f64::from_bits(
+                        0x7ff0_0000_0000_0000 | (bits & 0x800f_ffff_ffff_ffff) | 1,
+                    ),
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -1.0 - (bits >> 11) as f64,
+                    4 => -f64::from_bits((bits >> 12) | 1),
+                    _ => f64::MIN,
+                };
+            }
+        }
+        let mut guard = Guard::new(3, 0x5EED);
+        guard.advance_by(base);
+        let per_value = values
+            .iter()
+            .enumerate()
+            .find_map(|(i, &v)| guard.check_source_at(i as u64, source, v).err());
+        let batch = guard.check_batch(&values, FaultSite::Source(source)).err();
+        prop_assert_eq!(per_value.is_none(), faults.is_empty() || len == 0);
+        match (per_value, batch) {
+            (None, None) => {}
+            (Some(SimError::NumericFault(a)), Some(SimError::NumericFault(b))) => {
+                prop_assert_eq!(a.frame, b.frame);
+                prop_assert_eq!(a.site, b.site);
+                prop_assert_eq!(a.value.to_bits(), b.value.to_bits());
+                prop_assert_eq!((a.replication, a.seed), (b.replication, b.seed));
+            }
+            (a, b) => prop_assert!(false, "per value {:?}, batch {:?}", a, b),
+        }
+    }
+
     /// DAR(p) ACFs are valid correlation sequences: r(0)=1, |r(k)|<=1, and
     /// the implied Toeplitz matrix is positive semi-definite (checked via
     /// Levinson-Durbin not rejecting).
