@@ -16,8 +16,13 @@ pub struct GaussianAr1 {
     mean: f64,
     sd: f64,
     phi: f64,
+    /// `√(1−φ²)·σ`, the innovation standard deviation.
+    innovation_sd: f64,
     state: f64,
     initialized: bool,
+    /// The innovation sampler, kept across frames so the second deviate of
+    /// every Marsaglia polar pair is used rather than thrown away.
+    normal: Normal,
 }
 
 impl GaussianAr1 {
@@ -50,8 +55,10 @@ impl GaussianAr1 {
             mean,
             sd,
             phi,
+            innovation_sd: sd * (1.0 - phi * phi).sqrt(),
             state: 0.0,
             initialized: false,
+            normal: Normal::new(0.0, 1.0),
         })
     }
 
@@ -63,36 +70,30 @@ impl GaussianAr1 {
 
 impl FrameProcess for GaussianAr1 {
     fn next_frame(&mut self, rng: &mut dyn RngCore) -> f64 {
-        let mut nrm = Normal::new(0.0, 1.0);
-        if !self.initialized {
-            self.state = self.mean + self.sd * nrm.standard(rng);
+        let z = self.normal.standard(rng);
+        self.state = if self.initialized {
+            self.mean + self.phi * (self.state - self.mean) + self.innovation_sd * z
+        } else {
             self.initialized = true;
-            return self.state;
-        }
-        let innovation_sd = self.sd * (1.0 - self.phi * self.phi).sqrt();
-        self.state = self.mean + self.phi * (self.state - self.mean)
-            + innovation_sd * nrm.standard(rng);
+            self.mean + self.sd * z
+        };
         self.state
     }
 
+    /// Draws every innovation of the batch with [`Normal::fill_standard`]
+    /// into `out`, then runs the recursion over it in place. The sampler and
+    /// its spare deviate persist across calls, so the output is
+    /// bit-identical to `next_frame` for any chunking of the batch.
     fn fill_frames(&mut self, out: &mut [f64], rng: &mut dyn RngCore) {
-        if out.is_empty() {
+        let Some((first, rest)) = out.split_first_mut() else {
             return;
-        }
-        let mut filled = 0;
-        if !self.initialized {
-            out[0] = self.next_frame(rng);
-            filled = 1;
-        }
-        let (mean, phi) = (self.mean, self.phi);
-        let innovation_sd = self.sd * (1.0 - phi * phi).sqrt();
+        };
+        *first = self.next_frame(rng);
+        self.normal.fill_standard(rest, rng);
+        let (mean, phi, innovation_sd) = (self.mean, self.phi, self.innovation_sd);
         let mut state = self.state;
-        for slot in out[filled..].iter_mut() {
-            // A fresh sampler per frame, like the scalar path: its polar
-            // spare deviate is discarded, so hoisting the sampler here
-            // would change the draw sequence.
-            let mut nrm = Normal::new(0.0, 1.0);
-            state = mean + phi * (state - mean) + innovation_sd * nrm.standard(rng);
+        for slot in rest.iter_mut() {
+            state = mean + phi * (state - mean) + innovation_sd * *slot;
             *slot = state;
         }
         self.state = state;
@@ -112,6 +113,7 @@ impl FrameProcess for GaussianAr1 {
 
     fn reset(&mut self, _rng: &mut dyn RngCore) {
         self.initialized = false;
+        self.normal = Normal::new(0.0, 1.0);
     }
 
     fn boxed_clone(&self) -> Box<dyn FrameProcess> {

@@ -1440,7 +1440,11 @@ mod tests {
         let dir = std::env::temp_dir().join("vbr_runner_obs_ckpt_test");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("obs.ckpt");
+        // A `.prev` left by an earlier run (of another checkpoint version,
+        // say) would be resumed from, so both files go.
+        let prev = dir.join("obs.ckpt.prev");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&prev);
 
         let proto = GaussianAr1::new(500.0, 70.0, 0.8);
         let mut cfg = quick_config(vec![100.0]);
@@ -1474,6 +1478,7 @@ mod tests {
         let summary = second.summary().expect("summary");
         assert_eq!(summary.resumed, 2);
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&prev);
     }
 
     #[test]
@@ -1536,7 +1541,11 @@ mod tests {
         let dir = std::env::temp_dir().join("vbr_runner_ckpt_test");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("roundtrip.ckpt");
+        // A `.prev` left by an earlier run (of another checkpoint version,
+        // say) would be resumed from, so both files go.
+        let prev = dir.join("roundtrip.ckpt.prev");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&prev);
 
         let proto = GaussianAr1::new(500.0, 70.0, 0.8);
         let mut cfg = quick_config(vec![100.0, 500.0]);
@@ -1556,5 +1565,6 @@ mod tests {
             assert_eq!(x.clr.mean.to_bits(), y.clr.mean.to_bits());
         }
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&prev);
     }
 }

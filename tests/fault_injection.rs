@@ -6,7 +6,7 @@ use lrd_video::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use vbr_sim::error::{CheckpointErrorKind, FaultSite};
-use vbr_sim::{verify_checkpoint, Event, MemoryRecorder};
+use vbr_sim::{verify_checkpoint, Event, MemoryRecorder, CHECKPOINT_VERSION};
 
 /// A model that emits a configurable bad value after `after` clean frames.
 #[derive(Debug, Clone)]
@@ -387,20 +387,24 @@ fn corrupt_bop_histogram_in_checkpoint_is_a_parse_error_not_a_panic() {
     assert_eq!(rec.count("checkpoint_fallback"), 1);
     assert_eq!(out.provenance.completed, cfg.replications);
 
-    // A v1 header (the checksum-less format) is no longer read.
-    let v1 = std::fs::read_to_string(&path)
-        .expect("read rewritten checkpoint")
-        .replacen("vbr-sim-checkpoint v2", "vbr-sim-checkpoint v1", 1);
-    std::fs::write(&path, v1).expect("write v1 header");
-    match verify_checkpoint(&path, &cfg) {
-        Err(SimError::Checkpoint {
-            kind: CheckpointErrorKind::VersionMismatch {
-                found: 1,
-                expected: 2,
-            },
-            ..
-        }) => {}
-        other => panic!("expected VersionMismatch, got {other:?}"),
+    // Older headers are no longer read: v1 (the checksum-less format) and
+    // v2 (same format as v3, but Gaussian AR(1) sources drew a fresh polar
+    // pair every frame).
+    let current = std::fs::read_to_string(&path).expect("read rewritten checkpoint");
+    for old in [1u32, 2] {
+        let body = current.replacen(
+            &format!("vbr-sim-checkpoint v{CHECKPOINT_VERSION}"),
+            &format!("vbr-sim-checkpoint v{old}"),
+            1,
+        );
+        std::fs::write(&path, body).expect("write old header");
+        match verify_checkpoint(&path, &cfg) {
+            Err(SimError::Checkpoint {
+                kind: CheckpointErrorKind::VersionMismatch { found, expected: 3 },
+                ..
+            }) => assert_eq!(found, old),
+            other => panic!("v{old}: expected VersionMismatch, got {other:?}"),
+        }
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(dir.join("bad_bop.ckpt.prev"));
@@ -517,6 +521,55 @@ fn mix_runner_propagates_numeric_faults() {
             assert_eq!(f.site, FaultSite::Source(2), "faulty copy is third");
         }
         other => panic!("expected NumericFault, got {other:?}"),
+    }
+}
+
+/// A fault is reported where a frame-major scan finds it: at the earliest
+/// frame over all sources, and on a tie at the lowest source index, however
+/// the runner batches its sources. Here the higher-indexed faulty source
+/// goes bad first, inside the first 4096-frame batch and in a later one, and
+/// the two also fault on the same frame and in the other order.
+#[test]
+fn earliest_fault_over_all_sources_is_reported() {
+    let clean = GaussianAr1::new(100.0, 10.0, 0.5);
+    let mut cfg = small_config();
+    cfg.frames_per_replication = 12_000;
+    // (frames before the fault, bad value) of sources 1 and 2; source 0 is
+    // clean. Expected: (source, frame, value).
+    let cases = [
+        ((900, f64::NAN), (300, -7.0), (2, 300, -7.0)),
+        (
+            (5_000, -1.0),
+            (4_500, f64::INFINITY),
+            (2, 4_500, f64::INFINITY),
+        ),
+        ((700, -3.0), (700, f64::NAN), (1, 700, -3.0)),
+        ((250, -2.0), (8_000, f64::NAN), (1, 250, -2.0)),
+    ];
+    for ((after1, bad1), (after2, bad2), (source, frame, value)) in cases {
+        let first = FaultyModel::new(after1, bad1);
+        let second = FaultyModel::new(after2, bad2);
+        let mix = SourceMix::new(vec![
+            (&clean as &dyn FrameProcess, 1),
+            (&first as &dyn FrameProcess, 1),
+            (&second as &dyn FrameProcess, 1),
+        ])
+        .expect("non-empty mix");
+        let options = RunOptions {
+            threads: Some(1),
+            ..RunOptions::default()
+        };
+        match run_mix(&mix, &cfg, &options) {
+            Err(SimError::NumericFault(f)) => {
+                let case = format!("faults after {after1} and {after2} frames");
+                assert_eq!(f.site, FaultSite::Source(source), "{case}");
+                assert_eq!(f.frame, frame, "{case}");
+                assert_eq!(f.value.to_bits(), value.to_bits(), "{case}");
+                assert_eq!(f.replication, 0, "{case}");
+                assert_eq!(f.seed, cfg.seed, "{case}");
+            }
+            other => panic!("expected NumericFault, got {other:?}"),
+        }
     }
 }
 

@@ -267,3 +267,123 @@ fn analytic_acfs_are_valid_and_decay_by_class() {
     let r = iid.autocorrelations(8);
     assert!(r[1..].iter().all(|&v| v.abs() < 1e-12), "IID ACF not flat");
 }
+
+/// Sample cross-correlation `corr(x_t, y_{t+lag})` over the overlap.
+fn cross_correlation(x: &[f64], y: &[f64], lag: usize) -> f64 {
+    let n = x.len() - lag;
+    let (x, y) = (&x[..n], &y[lag..]);
+    let (mut mx, mut my) = (Moments::new(), Moments::new());
+    for (&a, &b) in x.iter().zip(y) {
+        mx.push(a);
+        my.push(b);
+    }
+    let cov = x
+        .iter()
+        .zip(y)
+        .map(|(a, b)| (a - mx.mean()) * (b - my.mean()))
+        .sum::<f64>()
+        / (n - 1) as f64;
+    cov / (mx.variance() * my.variance()).sqrt()
+}
+
+/// The paths of one replication's `n_sources` copies of `proto`, drawn as
+/// the runner draws them: every source is reset in order from the
+/// replication's stream `root.split(rep)`, then the sources advance frame
+/// by frame, source by source, on that one stream.
+fn replication_source_paths(
+    proto: &dyn FrameProcess,
+    seed: u64,
+    rep: u64,
+    n_sources: usize,
+    n: usize,
+) -> Vec<Vec<f64>> {
+    let mut rng = Xoshiro256PlusPlus::from_seed_u64(seed).split(rep);
+    let mut sources: Vec<Box<dyn FrameProcess>> =
+        (0..n_sources).map(|_| proto.boxed_clone()).collect();
+    for s in sources.iter_mut() {
+        s.reset(&mut rng);
+    }
+    let mut paths = vec![vec![0.0_f64; n]; n_sources];
+    for t in 0..n {
+        for (s, path) in sources.iter_mut().zip(paths.iter_mut()) {
+            path[t] = s.next_frame(&mut rng);
+        }
+    }
+    paths
+}
+
+/// Sources that share one replication stream must still be independent.
+/// Gaussian AR(1) keeps the second deviate of each polar pair for its next
+/// frame, so one source's draws sit between its neighbours' on the stream.
+#[test]
+fn sources_of_one_replication_are_independent() {
+    // Pre-whitened AR(1) paths: the innovations `x_t − φ·x_{t−1}` (about
+    // the mean) are i.i.d. under the model, so under independence every
+    // sample cross-correlation has sd ≈ 1/√n and ±4/√n is a 4-sigma band.
+    let phi = 0.8;
+    let ar1 = GaussianAr1::new(500.0, 70.0, phi);
+    let band = 4.0 / (N as f64).sqrt();
+    for (rep, pairs) in [
+        (0u64, [(0usize, 1usize), (1, 2)]),
+        (5, [(0, 29), (13, 14)]),
+    ] {
+        let paths = replication_source_paths(&ar1, 61, rep, 30, N + 1);
+        let innovations: Vec<Vec<f64>> = paths
+            .iter()
+            .map(|p| {
+                p.windows(2)
+                    .map(|w| (w[1] - 500.0) - phi * (w[0] - 500.0))
+                    .collect()
+            })
+            .collect();
+        for (i, j) in pairs {
+            for lag in 0..=3 {
+                for (a, b, dir) in [(i, j, "leads"), (j, i, "lags")] {
+                    let r = cross_correlation(&innovations[a], &innovations[b], lag);
+                    assert!(
+                        r.abs() < band,
+                        "rep {rep}: source {i} {dir} source {j} by {lag}: cross-correlation {r:.4} outside ±{band:.4}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn ar1_aggregate_of_one_replication_has_the_sum_moments() {
+    // The sum of N independent AR(1) sources is an AR(1) with variance N·σ²
+    // and ACF φᵏ; correlated sources would inflate the variance towards
+    // N²·σ². Tolerances are ~5 sigma: the sample variance of an
+    // AR(1) has relative sd ≈ √(2(1+φ²)/((1−φ²)n)) and the sample mean sd
+    // √((1+φ)/(1−φ))·σ/√n.
+    let (phi, sd, n_sources) = (0.8, 5000.0_f64.sqrt(), 30usize);
+    let ar1 = GaussianAr1::new(500.0, sd, phi);
+    let paths = replication_source_paths(&ar1, 62, 3, n_sources, N);
+    let aggregate: Vec<f64> = (0..N).map(|t| paths.iter().map(|p| p[t]).sum()).collect();
+    let mut m = Moments::new();
+    for &x in &aggregate {
+        m.push(x);
+    }
+    let (mean, var) = (n_sources as f64 * 500.0, n_sources as f64 * sd * sd);
+    let mean_tol = 5.0 * ((1.0 + phi) / (1.0 - phi) * var / N as f64).sqrt();
+    assert!(
+        (m.mean() - mean).abs() < mean_tol,
+        "aggregate mean {:.1} vs N·μ = {mean} (tol {mean_tol:.1})",
+        m.mean()
+    );
+    let var_tol = 5.0 * (2.0 * (1.0 + phi * phi) / ((1.0 - phi * phi) * N as f64)).sqrt();
+    assert!(
+        (m.variance() / var - 1.0).abs() < var_tol,
+        "aggregate variance {:.0} vs N·σ² = {var} (rel tol {var_tol:.3})",
+        m.variance()
+    );
+    let acf = vbr_stats::sample_acf(&aggregate, 3);
+    for (k, &r) in acf.iter().enumerate().skip(1) {
+        let expected = phi.powi(k as i32);
+        assert!(
+            (r - expected).abs() < 0.05,
+            "aggregate r({k}) = {r:.4} vs φ^{k} = {expected:.4}"
+        );
+    }
+}
