@@ -3,14 +3,20 @@
 //! AR(1) grows like `b/(c−μ)`).
 //!
 //! `X_n = μ + φ(X_{n−1} − μ) + √(1−φ²)·σ·ε_n`, `ε ~ N(0,1)`, started in the
-//! stationary distribution `N(μ, σ²)`; ACF is exactly `φᵏ`.
+//! stationary distribution `N(μ, σ²)`; ACF is exactly `φᵏ`. The innovations
+//! come from the ziggurat sampler [`ziggurat_standard_normal`], one deviate
+//! per frame, with no sampler state carried between frames.
 
 use crate::error::ModelError;
 use crate::traits::FrameProcess;
 use rand::RngCore;
-use vbr_stats::dist::Normal;
+use vbr_stats::dist::ziggurat_standard_normal;
 
 /// Gaussian AR(1) frame-size process.
+///
+/// Every frame draws one ziggurat innovation (~1.02 `u64`s) from the stream
+/// it is given, in frame order; `fill_frames` draws the same sequence as
+/// `next_frame` for any chunking of the batch.
 #[derive(Debug, Clone)]
 pub struct GaussianAr1 {
     mean: f64,
@@ -20,9 +26,6 @@ pub struct GaussianAr1 {
     innovation_sd: f64,
     state: f64,
     initialized: bool,
-    /// The innovation sampler, kept across frames so the second deviate of
-    /// every Marsaglia polar pair is used rather than thrown away.
-    normal: Normal,
 }
 
 impl GaussianAr1 {
@@ -58,7 +61,6 @@ impl GaussianAr1 {
             innovation_sd: sd * (1.0 - phi * phi).sqrt(),
             state: 0.0,
             initialized: false,
-            normal: Normal::new(0.0, 1.0),
         })
     }
 
@@ -70,7 +72,7 @@ impl GaussianAr1 {
 
 impl FrameProcess for GaussianAr1 {
     fn next_frame(&mut self, rng: &mut dyn RngCore) -> f64 {
-        let z = self.normal.standard(rng);
+        let z = ziggurat_standard_normal(rng);
         self.state = if self.initialized {
             self.mean + self.phi * (self.state - self.mean) + self.innovation_sd * z
         } else {
@@ -80,20 +82,18 @@ impl FrameProcess for GaussianAr1 {
         self.state
     }
 
-    /// Draws every innovation of the batch with [`Normal::fill_standard`]
-    /// into `out`, then runs the recursion over it in place. The sampler and
-    /// its spare deviate persist across calls, so the output is
-    /// bit-identical to `next_frame` for any chunking of the batch.
+    /// Runs the recursion over the batch with the state in a register,
+    /// drawing each innovation as [`next_frame`](Self::next_frame) does, so
+    /// the output is bit-identical to it for any chunking of the batch.
     fn fill_frames(&mut self, out: &mut [f64], rng: &mut dyn RngCore) {
         let Some((first, rest)) = out.split_first_mut() else {
             return;
         };
         *first = self.next_frame(rng);
-        self.normal.fill_standard(rest, rng);
         let (mean, phi, innovation_sd) = (self.mean, self.phi, self.innovation_sd);
         let mut state = self.state;
         for slot in rest.iter_mut() {
-            state = mean + phi * (state - mean) + innovation_sd * *slot;
+            state = mean + phi * (state - mean) + innovation_sd * ziggurat_standard_normal(rng);
             *slot = state;
         }
         self.state = state;
@@ -113,7 +113,6 @@ impl FrameProcess for GaussianAr1 {
 
     fn reset(&mut self, _rng: &mut dyn RngCore) {
         self.initialized = false;
-        self.normal = Normal::new(0.0, 1.0);
     }
 
     fn boxed_clone(&self) -> Box<dyn FrameProcess> {

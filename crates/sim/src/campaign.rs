@@ -206,6 +206,28 @@ struct ShardCtx {
     fallbacks: usize,
 }
 
+impl ShardCtx {
+    /// Reads the shard's new event lines: any growth of the stream is a
+    /// liveness beat, and `replication_end` and `checkpoint_fallback`
+    /// events feed the campaign accumulators.
+    fn drain_events(&mut self, rep_durations: &mut P2Summary) {
+        let polled = self.tail.poll();
+        if polled.size != self.last_size {
+            self.last_size = polled.size;
+            self.last_progress = Instant::now();
+        }
+        for line in &polled.lines {
+            match decode_line(line).map(|s| s.event) {
+                Ok(Event::ReplicationEnd { duration_ns, .. }) => {
+                    rep_durations.observe(duration_ns as f64 / 1e9);
+                }
+                Ok(Event::CheckpointFallback { .. }) => self.fallbacks += 1,
+                _ => {}
+            }
+        }
+    }
+}
+
 /// Runs a supervised multi-process campaign: shards `config.replications`
 /// across worker processes, supervises them via heartbeats, restarts or
 /// quarantines failures, and merges shard checkpoints into one outcome.
@@ -261,30 +283,14 @@ pub fn run_campaign(
     let mut rep_durations = P2Summary::default();
 
     loop {
-        let mut all_settled = true;
         for shard in shards.iter_mut() {
             // Drain this shard's stream first: events inform both liveness
             // and the campaign accumulators regardless of state.
-            let polled = shard.tail.poll();
-            let (lines, size) = (polled.lines, polled.size);
-            if size != shard.last_size {
-                shard.last_size = size;
-                shard.last_progress = Instant::now();
-            }
-            for line in &lines {
-                match decode_line(line).map(|s| s.event) {
-                    Ok(Event::ReplicationEnd { duration_ns, .. }) => {
-                        rep_durations.observe(duration_ns as f64 / 1e9);
-                    }
-                    Ok(Event::CheckpointFallback { .. }) => shard.fallbacks += 1,
-                    _ => {}
-                }
-            }
+            shard.drain_events(&mut rep_durations);
 
             match &mut shard.state {
                 ShardState::Done | ShardState::Quarantined => continue,
                 ShardState::Backoff { until } => {
-                    all_settled = false;
                     if Instant::now() < *until {
                         continue;
                     }
@@ -323,55 +329,52 @@ pub fn run_campaign(
                         }
                     }
                 }
-                ShardState::Running { child, .. } => {
-                    all_settled = false;
-                    match child.try_wait() {
-                        Ok(Some(status)) => {
-                            let code = status.code().map(i64::from).unwrap_or(-1);
-                            emit(Event::WorkerExited {
-                                shard: shard.plan.index,
-                                attempt: shard.attempt,
-                                code,
-                            });
-                            settle_exit(shard, config, options, &emit);
-                        }
+                ShardState::Running { child } => {
+                    let code = match child.try_wait() {
+                        Ok(Some(status)) => status.code().map(i64::from).unwrap_or(-1),
                         Ok(None) => {
                             // Still running: hang detection on stream
                             // silence.
                             let silent = shard.last_progress.elapsed();
-                            if silent > options.heartbeat_timeout {
-                                shard.stalls += 1;
-                                emit(Event::WorkerStalled {
-                                    shard: shard.plan.index,
-                                    attempt: shard.attempt,
-                                    silent_ms: silent.as_millis() as u64,
-                                });
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                emit(Event::WorkerExited {
-                                    shard: shard.plan.index,
-                                    attempt: shard.attempt,
-                                    code: -1,
-                                });
-                                settle_exit(shard, config, options, &emit);
+                            if silent <= options.heartbeat_timeout {
+                                continue;
                             }
+                            shard.stalls += 1;
+                            emit(Event::WorkerStalled {
+                                shard: shard.plan.index,
+                                attempt: shard.attempt,
+                                silent_ms: silent.as_millis() as u64,
+                            });
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            -1
                         }
                         Err(_) => {
                             // Lost track of the child; treat as an exit.
                             let _ = child.kill();
                             let _ = child.wait();
-                            emit(Event::WorkerExited {
-                                shard: shard.plan.index,
-                                attempt: shard.attempt,
-                                code: -1,
-                            });
-                            settle_exit(shard, config, options, &emit);
+                            -1
                         }
-                    }
+                    };
+                    // The worker's last `replication_end` and
+                    // `checkpoint_fallback` lines can land after this
+                    // iteration's drain: read them before settling.
+                    shard.drain_events(&mut rep_durations);
+                    emit(Event::WorkerExited {
+                        shard: shard.plan.index,
+                        attempt: shard.attempt,
+                        code,
+                    });
+                    settle_exit(shard, config, options, &emit);
                 }
             }
         }
-        if all_settled {
+        // Checked after this pass's transitions: no sleep once the last
+        // shard has settled.
+        if shards
+            .iter()
+            .all(|s| matches!(s.state, ShardState::Done | ShardState::Quarantined))
+        {
             break;
         }
         std::thread::sleep(options.poll_interval);

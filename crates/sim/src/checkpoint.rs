@@ -30,11 +30,13 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Checkpoint format version. v2 added the trailing `checksum` line; v3
-/// keeps v2's format but marks results drawn after Gaussian AR(1) sources
-/// began keeping their polar spare deviate, which changed their draw
-/// sequence, so a v2 result is never merged with v3 ones. Files of any
-/// other version are rejected as a version mismatch.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// kept v2's format but marked results drawn after Gaussian AR(1) sources
+/// began keeping their polar spare deviate; v4 keeps v3's format but marks
+/// results drawn after Gaussian AR(1) moved to ziggurat innovations. Each
+/// bump changed AR(1)'s draw sequence, so results of different versions
+/// are never merged: files of any other version are rejected as a version
+/// mismatch.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 const MAGIC: &str = "vbr-sim-checkpoint";
 

@@ -1,10 +1,11 @@
 //! Random-variate samplers.
 //!
 //! Implemented from scratch (the workspace's allowed dependency set has no
-//! `rand_distr`): normal via the Marsaglia polar method, Poisson via Knuth's
-//! product method for small means and Hörmann's PTRD transformed-rejection
-//! method for large means, exponential by inversion, and a Walker–Vose alias
-//! table for categorical draws (the `A_n` lag selector of a DAR(p) process).
+//! `rand_distr`): normal via the Marsaglia polar method and via a 256-layer
+//! ziggurat, Poisson via Knuth's product method for small means and
+//! Hörmann's PTRD transformed-rejection method for large means, exponential
+//! by inversion, and a Walker–Vose alias table for categorical draws (the
+//! `A_n` lag selector of a DAR(p) process).
 //!
 //! All samplers are generic over [`rand::Rng`], so they work with the
 //! workspace's deterministic [`crate::rng::Xoshiro256PlusPlus`] as well as
@@ -12,6 +13,7 @@
 
 use crate::special::{ln_factorial, normal_pdf, normal_sf};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Sampler for the normal distribution `N(mean, sd²)`.
 ///
@@ -121,6 +123,91 @@ impl Normal {
 /// One-shot standard normal draw without carrying sampler state.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     Normal::new(0.0, 1.0).standard(rng)
+}
+
+/// Ziggurat layers; the layer index is the low 8 bits of one `u64` draw.
+const ZIG_LAYERS: usize = 256;
+/// Right edge of the base layer's rectangle, where the tail begins.
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// Common area of every layer under the unnormalised density `e^{−x²/2}`
+/// (the base layer's is its rectangle plus the tail beyond [`ZIG_R`]).
+const ZIG_V: f64 = 4.928_673_233_99e-3;
+
+/// Layer edges and density values of the ziggurat, built once.
+struct ZigguratTables {
+    /// `x[0] = V/f(R)` (the base layer's width, counting the tail as a
+    /// rectangle), `x[1] = R`, decreasing to `x[256] = 0`; layer `i` spans
+    /// `[0, x[i]]` and lies entirely under the curve up to `x[i + 1]`.
+    x: [f64; ZIG_LAYERS + 1],
+    /// `f[i] = e^{−x[i]²/2}`.
+    f: [f64; ZIG_LAYERS + 1],
+}
+
+fn ziggurat_tables() -> &'static ZigguratTables {
+    static TABLES: OnceLock<ZigguratTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let pdf = |x: f64| (-0.5 * x * x).exp();
+        let mut x = [0.0; ZIG_LAYERS + 1];
+        x[0] = ZIG_V / pdf(ZIG_R);
+        x[1] = ZIG_R;
+        // Layer i has area x[i]·(f(x[i+1]) − f(x[i])) = V.
+        for i in 1..ZIG_LAYERS - 1 {
+            x[i + 1] = (-2.0 * (ZIG_V / x[i] + pdf(x[i])).ln()).sqrt();
+        }
+        x[ZIG_LAYERS] = 0.0;
+        ZigguratTables { x, f: x.map(pdf) }
+    })
+}
+
+/// Draws one standard-normal variate by the 256-layer ziggurat of Marsaglia
+/// & Tsang (J. Stat. Softw. 5(8), 2000), exact in law.
+///
+/// Each attempt takes one `u64`: its low 8 bits pick the layer and its top
+/// 53 bits give the signed uniform, so the two are independent (Doornik's
+/// 2005 fix to the original's shared bits). About 98.5% of draws return
+/// from the rectangle test alone; the rest take a wedge test against the
+/// density or, from the base layer, Marsaglia's exponential tail method
+/// beyond `R ≈ 3.654`. Expected cost is ~1.02 `u64`s and no transcendental
+/// on the fast path, against the polar method's ~2.55 uniforms, `ln`, `sqrt`
+/// and division per pair.
+///
+/// Gaussian AR(1) draws its innovations here. [`Normal`] keeps the polar
+/// method for every other model (the Gaussian DAR marginals, FGN, MPEG) so
+/// that their seed-pinned draw sequences stay put until the statistical
+/// paper-claim gates land (ROADMAP item 3); ROADMAP item 4 then moves
+/// [`Normal`] onto this sampler and deletes the polar method.
+pub fn ziggurat_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let t = ziggurat_tables();
+    loop {
+        let bits = rng.next_u64();
+        let i = (bits & 0xff) as usize;
+        // Signed uniform on the symmetric grid ±(k + ½)·2⁻⁵², k < 2⁵²:
+        // never 0 or ±1, and exact in f64.
+        let u = (((bits >> 11) as i64 - (1 << 52)) as f64 + 0.5) * f64::EPSILON;
+        let x = u * t.x[i];
+        if x.abs() < t.x[i + 1] {
+            return x;
+        }
+        if i == 0 {
+            return ziggurat_tail(rng, u < 0.0);
+        }
+        if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>() < (-0.5 * x * x).exp() {
+            return x;
+        }
+    }
+}
+
+/// Marsaglia's exponential method for the normal tail beyond [`ZIG_R`].
+#[cold]
+fn ziggurat_tail<R: Rng + ?Sized>(rng: &mut R, negative: bool) -> f64 {
+    loop {
+        // 1 − U in (0, 1]: ln never sees zero.
+        let x = -(1.0 - rng.gen::<f64>()).ln() / ZIG_R;
+        let y = -(1.0 - rng.gen::<f64>()).ln();
+        if 2.0 * y > x * x {
+            return if negative { -(ZIG_R + x) } else { ZIG_R + x };
+        }
+    }
 }
 
 /// Sampler for the Poisson distribution.
@@ -589,6 +676,75 @@ mod tests {
         let lag1: f64 =
             out.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (out.len() - 1) as f64;
         assert!(lag1.abs() < 0.008, "chunked lag-1 correlation {lag1}");
+    }
+
+    #[test]
+    fn ziggurat_layers_all_have_area_v() {
+        let t = ziggurat_tables();
+        assert!(t.x.windows(2).all(|w| w[0] > w[1]), "edges must decrease");
+        // The top layer is closed by x[256] = 0, not by the recursion, and
+        // the base layer by the tail; both must still have area V, up to
+        // the 12 digits V is given to (the top layer is off by ~1e-9).
+        let top = t.x[ZIG_LAYERS - 1] * (1.0 - t.f[ZIG_LAYERS - 1]);
+        assert!((top / ZIG_V - 1.0).abs() < 1e-8, "top layer area {top:e}");
+        let tail = (2.0 * std::f64::consts::PI).sqrt() * normal_sf(ZIG_R);
+        let base = ZIG_R * t.f[1] + tail;
+        assert!(
+            (base / ZIG_V - 1.0).abs() < 1e-6,
+            "base layer area {base:e}"
+        );
+    }
+
+    #[test]
+    fn ziggurat_passes_ks_moments_symmetry_and_tail() {
+        let n = 1usize << 21;
+        let nf = n as f64;
+        let mut r = rng(0x2165);
+        let xs: Vec<f64> = (0..n).map(|_| ziggurat_standard_normal(&mut r)).collect();
+        // 1% critical value of the Kolmogorov distribution.
+        let ks = crate::ks::ks_test(&xs, crate::special::normal_cdf);
+        let critical = 1.628 / nf.sqrt();
+        assert!(
+            ks.statistic < critical,
+            "KS D {:e} ≥ {critical:e}",
+            ks.statistic
+        );
+        // Mean and variance within 5 SE (Var z = 1, Var z² = 2).
+        let (mean, var) = moments(&xs);
+        assert!(mean.abs() < 5.0 / nf.sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 5.0 * (2.0 / nf).sqrt(), "var {var}");
+        // Symmetry: the sign is a fair coin, and E z³ = 0 (Var z³ = 15).
+        let positive = xs.iter().filter(|&&z| z > 0.0).count() as f64;
+        assert!(
+            (positive - nf / 2.0).abs() < 5.0 * nf.sqrt() / 2.0,
+            "{positive} positive"
+        );
+        let skew = xs.iter().map(|z| z.powi(3)).sum::<f64>() / nf;
+        assert!(skew.abs() < 5.0 * (15.0 / nf).sqrt(), "third moment {skew}");
+        // Tail mass beyond R, where the exponential tail method takes over.
+        let p = 2.0 * normal_sf(ZIG_R);
+        let beyond = xs.iter().filter(|z| z.abs() > ZIG_R).count() as f64;
+        assert!(beyond >= 1.0, "the tail path never ran");
+        let sd = (nf * p * (1.0 - p)).sqrt();
+        assert!(
+            (beyond - nf * p).abs() < 5.0 * sd,
+            "{beyond} beyond R vs {}",
+            nf * p
+        );
+    }
+
+    #[test]
+    fn ziggurat_same_seed_same_sequence() {
+        let (mut a, mut b) = (rng(77), rng(77));
+        for i in 0..10_000 {
+            let (x, y) = (
+                ziggurat_standard_normal(&mut a),
+                ziggurat_standard_normal(&mut b),
+            );
+            assert_eq!(x.to_bits(), y.to_bits(), "draw {i}");
+        }
+        use rand::RngCore;
+        assert_eq!(a.next_u64(), b.next_u64(), "RNG positions diverged");
     }
 
     #[test]

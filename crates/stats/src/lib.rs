@@ -15,7 +15,8 @@
 //! * [`special`] — error function, log-gamma, and the standard normal
 //!   pdf/cdf/quantile used by the Gaussian marginal models and the
 //!   Bahadur–Rao asymptotics.
-//! * [`dist`] — samplers for the normal (Marsaglia polar), Poisson
+//! * [`dist`] — samplers for the normal (Marsaglia polar, and a ziggurat for
+//!   Gaussian AR(1) innovations), Poisson
 //!   (Knuth for small means, Hörmann's PTRD transformed rejection for large
 //!   means — the FBNDP model draws ~10⁹ Poisson variates per paper-scale
 //!   replication set), exponential, and Pareto-tail distributions, plus a

@@ -306,6 +306,48 @@ fn supervisor_survives_a_sigkilled_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The supervisor returns at the first poll that sees its last worker exit,
+/// not one poll later, and reads that worker's last event lines first. A
+/// long poll makes the extra sleep visible: the workers finish well within
+/// the first one, so the campaign should take one poll, not two.
+#[test]
+fn supervisor_returns_once_the_last_shard_settles() {
+    let dir = temp_dir("settle");
+    let poll = std::time::Duration::from_secs(2);
+    let mut options = vbr_sim::CampaignOptions::new(&dir);
+    options.shards = 2;
+    options.poll_interval = poll;
+    let config = reference_config();
+    let campaign = vbr_sim::run_campaign(&config, &options, |plan, _attempt| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign_run"));
+        cmd.args(["--worker", "--replications", "6", "--frames", "4000", "--threads", "1"])
+            .arg("--range")
+            .arg(format!("{}:{}", plan.range.start, plan.range.end))
+            .arg("--shard")
+            .arg(plan.index.to_string())
+            .arg("--checkpoint")
+            .arg(&plan.checkpoint)
+            .arg("--events")
+            .arg(&plan.events)
+            .env_remove("VBR_FAULT");
+        cmd
+    })
+    .expect("fault-free campaign");
+    let report = &campaign.report;
+    assert_eq!(campaign.outcome.provenance.completed, REPLICATIONS);
+    assert_eq!(report.restarts, 0);
+    assert!(
+        report.wall < poll.mul_f64(1.75),
+        "campaign took {:?} with a {poll:?} poll: it slept past its last shard's exit",
+        report.wall
+    );
+    assert_eq!(
+        report.rep_duration_s.count, REPLICATIONS as u64,
+        "every worker's replication_end line must be read before the merge"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Compile-time guard: the reference config in this file and the binary's
 /// defaults must both fingerprint the same way as a worker sees them. If the
 /// binary's defaults drift, the bit-identity tests above fail loudly — this

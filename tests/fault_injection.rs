@@ -387,11 +387,11 @@ fn corrupt_bop_histogram_in_checkpoint_is_a_parse_error_not_a_panic() {
     assert_eq!(rec.count("checkpoint_fallback"), 1);
     assert_eq!(out.provenance.completed, cfg.replications);
 
-    // Older headers are no longer read: v1 (the checksum-less format) and
-    // v2 (same format as v3, but Gaussian AR(1) sources drew a fresh polar
-    // pair every frame).
+    // Older headers are no longer read: v1 (the checksum-less format), v2
+    // (Gaussian AR(1) sources drew a fresh polar pair every frame) and v3
+    // (AR(1) kept its polar spare); v2 and v3 have the current format.
     let current = std::fs::read_to_string(&path).expect("read rewritten checkpoint");
-    for old in [1u32, 2] {
+    for old in [1u32, 2, 3] {
         let body = current.replacen(
             &format!("vbr-sim-checkpoint v{CHECKPOINT_VERSION}"),
             &format!("vbr-sim-checkpoint v{old}"),
@@ -400,7 +400,7 @@ fn corrupt_bop_histogram_in_checkpoint_is_a_parse_error_not_a_panic() {
         std::fs::write(&path, body).expect("write old header");
         match verify_checkpoint(&path, &cfg) {
             Err(SimError::Checkpoint {
-                kind: CheckpointErrorKind::VersionMismatch { found, expected: 3 },
+                kind: CheckpointErrorKind::VersionMismatch { found, expected: 4 },
                 ..
             }) => assert_eq!(found, old),
             other => panic!("v{old}: expected VersionMismatch, got {other:?}"),

@@ -20,7 +20,8 @@
 use lrd_video::prelude::*;
 use vbr_models::{FarimaProcess, FgnProcess, IidProcess, Marginal};
 use vbr_stats::rng::Xoshiro256PlusPlus;
-use vbr_stats::{ks_test, local_whittle_hurst, normal_cdf, rs_hurst, Moments};
+use vbr_stats::dist::ziggurat_standard_normal;
+use vbr_stats::{ks_test, local_whittle_hurst, normal_cdf, normal_sf, rs_hurst, Moments};
 
 /// One sample path from a fresh stationary start of `proto`.
 fn sample_path(proto: &dyn FrameProcess, seed: u64, n: usize) -> Vec<f64> {
@@ -313,8 +314,8 @@ fn replication_source_paths(
 }
 
 /// Sources that share one replication stream must still be independent.
-/// Gaussian AR(1) keeps the second deviate of each polar pair for its next
-/// frame, so one source's draws sit between its neighbours' on the stream.
+/// Gaussian AR(1) draws one ziggurat innovation per frame, so one source's
+/// draws sit between its neighbours' on the stream.
 #[test]
 fn sources_of_one_replication_are_independent() {
     // Pre-whitened AR(1) paths: the innovations `x_t − φ·x_{t−1}` (about
@@ -386,4 +387,40 @@ fn ar1_aggregate_of_one_replication_has_the_sum_moments() {
             "aggregate r({k}) = {r:.4} vs φ^{k} = {expected:.4}"
         );
     }
+}
+
+/// Release-size gate for the ziggurat sampler behind Gaussian AR(1)'s
+/// innovations: a KS test and the tail masses beyond 3, 4 and the
+/// ziggurat's tail start R, where its exponential tail method takes over.
+/// Each bound comes from its own standard error: the KS 1% critical value
+/// 1.628/√n, and 5 binomial SEs √(n·p(1−p)) on every tail count.
+#[test]
+fn ziggurat_normal_passes_ks_and_tail_mass_at_release_size() {
+    const R: f64 = 3.654_152_885_361_009;
+    let n = 1usize << 24;
+    let nf = n as f64;
+    let mut rng = Xoshiro256PlusPlus::from_seed_u64(41);
+    let mut zs: Vec<f64> = (0..n).map(|_| ziggurat_standard_normal(&mut rng)).collect();
+    for t in [3.0, 4.0, R] {
+        let p = 2.0 * normal_sf(t);
+        let count = zs.iter().filter(|z| z.abs() > t).count() as f64;
+        let se = (nf * p * (1.0 - p)).sqrt();
+        assert!(
+            (count - nf * p).abs() < 5.0 * se,
+            "P(|Z| > {t}): {count} draws vs {:.0} expected (SE {se:.1})",
+            nf * p
+        );
+    }
+    // KS statistic in place: the sample is large enough that a copy counts.
+    zs.sort_unstable_by(f64::total_cmp);
+    let d = zs
+        .iter()
+        .enumerate()
+        .map(|(i, &z)| {
+            let f = normal_cdf(z);
+            (f - i as f64 / nf).max((i + 1) as f64 / nf - f)
+        })
+        .fold(0.0_f64, f64::max);
+    let critical = 1.628 / nf.sqrt();
+    assert!(d < critical, "KS D = {d:e} ≥ 1% critical value {critical:e} at n = {n}");
 }
