@@ -138,6 +138,27 @@ impl Histogram {
         self.sum.add(value);
     }
 
+    /// Records a batch of observations: bins them locally, then makes one
+    /// atomic add per touched bucket, one for the count and one for the
+    /// sum. Bucket counts and the count are those of [`record`](Self::record)
+    /// on each value; the sum adds the batch's partial sum, so it can differ
+    /// from per-value recording by reassociation.
+    pub fn record_all(&self, values: &[f64]) {
+        let mut local = [0u64; HISTOGRAM_BUCKETS];
+        let mut sum = 0.0;
+        for &v in values {
+            local[Self::bucket_index(v)] += 1;
+            sum += v;
+        }
+        for (bucket, &n) in self.buckets.iter().zip(&local) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(values.len() as u64, Ordering::Relaxed);
+        self.sum.add(sum);
+    }
+
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -509,6 +530,33 @@ mod tests {
         let g = Gauge::default();
         g.set(42.5);
         assert_eq!(g.get(), 42.5);
+    }
+
+    #[test]
+    fn record_all_matches_per_value_record() {
+        let mut rng = Xoshiro256PlusPlus::from_seed_u64(20);
+        let values: Vec<f64> = (0..500)
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                1 => -1.0,
+                2 => rng.next_f64(),
+                3 => rng.next_f64() * 1e6,
+                _ => f64::from(i as u32).exp2(),
+            })
+            .collect();
+        let one = Histogram::new();
+        let all = Histogram::new();
+        for chunk in values.chunks(32) {
+            for &v in chunk {
+                one.record(v);
+            }
+            all.record_all(chunk);
+        }
+        all.record_all(&[]);
+        let (a, b) = (one.snapshot(), all.snapshot());
+        assert_eq!(a.buckets, b.buckets);
+        assert_eq!(a.count, b.count);
+        assert!((a.sum - b.sum).abs() <= 1e-12 * a.sum.abs(), "{} vs {}", a.sum, b.sum);
     }
 
     #[test]

@@ -484,6 +484,8 @@ fn run_replication_sources(
     };
     let mut last_beat = Instant::now();
     let mut aggregate = vec![0.0; max_batch.min(total_frames.max(1))];
+    // Per-batch queue depths, recorded into the shared histogram at once.
+    let mut depths = Vec::new();
     let mut frame = 0usize;
     while frame < total_frames {
         if frame == config.warmup_frames {
@@ -522,9 +524,9 @@ fn run_replication_sources(
         if let Some(o) = obs {
             o.metrics.frames.add(batch.len() as u64);
             o.metrics.batches.add(1);
-            for q in bank.queues() {
-                o.metrics.queue_depth.record(q.workload());
-            }
+            depths.clear();
+            depths.extend(bank.queues().iter().map(|q| q.workload()));
+            o.metrics.queue_depth.record_all(&depths);
             if let Some(t0) = batch_t0 {
                 o.metrics.batch_ns.record(t0.elapsed().as_nanos() as f64);
             }

@@ -7,8 +7,9 @@
 //! [`FrameProcess`]:
 //!
 //! * analytic statistics are replaced by **sample** statistics (mean,
-//!   variance, FFT-based ACF) — exactly what the empirical studies in the
-//!   debate did;
+//!   variance, and the ACF out to a fixed horizon by the blocked FFT
+//!   estimator `vbr_stats::sample_acf_fft`) — exactly what the empirical
+//!   studies in the debate did;
 //! * replay is cyclic with a random rotation per reset, the standard
 //!   trace-driven-simulation device for generating "independent"
 //!   replications from one trace (documented bias: replications share the
@@ -28,7 +29,7 @@ pub struct TraceProcess {
     label: String,
     mean: f64,
     variance: f64,
-    /// Cached sample ACF prefix (computed lazily to `acf_horizon`).
+    /// Sample ACF at lags `0..=acf_horizon`, computed once in `try_new`.
     acf: std::sync::Arc<Vec<f64>>,
     position: usize,
     initialized: bool,
@@ -36,7 +37,8 @@ pub struct TraceProcess {
 
 impl TraceProcess {
     /// Wraps a frame-size sequence. `acf_horizon` bounds the lags the trace
-    /// can report (they are estimated once, up front, via FFT).
+    /// can report; they are estimated once, up front, by the blocked FFT
+    /// estimator in O(n log K) time for K = `acf_horizon`.
     ///
     /// # Panics
     /// Panics if the trace has fewer than 2 frames, non-finite or negative

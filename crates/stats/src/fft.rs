@@ -1,11 +1,14 @@
 //! Iterative radix-2 complex FFT with reusable plans.
 //!
-//! Two consumers in the workspace: the FFT-based sample-autocorrelation
-//! estimator (O(n log n) instead of O(n·K) for K lags) and the Davies–Harte
-//! circulant-embedding generator for exact fractional Gaussian noise. Both
+//! Three consumers in the workspace: the blocked sample-autocorrelation
+//! estimator (O(n log K) instead of O(n·K) for K lags), the Davies–Harte
+//! circulant-embedding generator for exact fractional Gaussian noise, and
+//! the [`periodogram`] behind the GPH and Whittle Hurst estimators. All
 //! control their own input lengths, so a power-of-two-only transform with an
 //! explicit [`next_pow2`] helper keeps the implementation simple and robust —
-//! the smoltcp school of "simplicity over cleverness".
+//! the smoltcp school of "simplicity over cleverness". The autocorrelation
+//! estimator transforms blocks of about twice its lag horizon, never the
+//! whole series, so its plans stay small (2¹¹ points for 1000 lags).
 //!
 //! Transforms execute through an [`FftPlan`]: the bit-reversal permutation
 //! and the twiddle factors `e^{-2πik/n}` are computed once per length and

@@ -22,12 +22,13 @@
 //!   replication set), exponential, and Pareto-tail distributions, plus a
 //!   Walker–Vose alias table for categorical draws.
 //! * [`mod@fft`] — an iterative radix-2 complex FFT with real-signal helpers,
-//!   used by the periodogram Hurst estimator and the Davies–Harte exact
-//!   fractional-Gaussian-noise generator.
+//!   used by the blocked ACF estimator, the periodogram Hurst estimators and
+//!   the Davies–Harte exact fractional-Gaussian-noise generator.
 //! * [`linalg`] — Levinson–Durbin recursion for symmetric Toeplitz systems
 //!   (the Yule–Walker fit behind DAR(p) matching) and a pivoted Gaussian
 //!   elimination fallback.
-//! * [`acf`] — sample autocorrelation estimation (direct and FFT-based).
+//! * [`acf`] — sample autocorrelation estimation (direct, and a blocked FFT
+//!   estimator that computes only the lags asked for).
 //! * [`hurst`] — three classical Hurst-parameter estimators: rescaled range
 //!   (R/S), aggregated variance, and the GPH log-periodogram regression.
 //! * [`descriptive`] — streaming moments (Welford), quantiles, histograms.
