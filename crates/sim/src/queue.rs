@@ -28,11 +28,11 @@ impl LossAccount {
     }
 }
 
-/// Queues [`FluidQueue::offer_batch_bank`] steps together per frame, as one
-/// fused chunk, whenever lanes need an explicit step (an excursion of the
-/// reference above their buffers, or a bank of mixed capacities). Chosen by
-/// measurement: enough independent recursions to hide the `max`/`min`
-/// latency of each one, and the fastest width measured. On a 2-vCPU Intel
+/// Queues [`BufferBank::offer`] steps together per frame, as one fused
+/// chunk, whenever lanes need an explicit step (an excursion of the
+/// reference above their buffers). Chosen by measurement: enough
+/// independent recursions to hide the `max`/`min` latency of each one, and
+/// the fastest width measured. On a 2-vCPU Intel
 /// Xeon (x86-64, default release flags, 4096-frame batches, 2^20 frames)
 /// stepping every frame, 4, 8, 16 and 32 lanes took about 47, 40, 30 and
 /// 38 ns per frame for 32 buffers, against about 160 ns for one
@@ -61,9 +61,8 @@ impl FluidQueue {
     ///
     /// A `-0.0` buffer is stored as `+0.0`. Both lose the same cells, but
     /// `min(+0.0, -0.0)` may return either sign, so only a `+0.0` bound
-    /// keeps every workload a `+0.0` when it is zero; the buffer bank's
-    /// reference lane relies on that (see
-    /// [`offer_batch_bank`](Self::offer_batch_bank)).
+    /// keeps every workload a `+0.0` when it is zero; the reference lane of
+    /// a [`BufferBank`] relies on that.
     ///
     /// # Panics
     /// Panics on non-positive capacity or negative buffer.
@@ -151,61 +150,6 @@ impl FluidQueue {
         self.account.offered = offered;
     }
 
-    /// Offers the same batch to every queue of a buffer bank.
-    ///
-    /// Each queue ends bit-identical to calling
-    /// [`offer_batch`](Self::offer_batch) on it alone. The bank runs one
-    /// *reference lane* `r ← max(r + x − c, 0)`, the infinite-buffer
-    /// recursion at the bank's capacity, started from the largest lane
-    /// workload, and steps a queue only while it can differ from it:
-    ///
-    /// - A queue whose workload equals `r` stays equal to it, with its loss
-    ///   unchanged, for as long as `r` stays at or below its buffer: it runs
-    ///   the same operations on the same bits, and its loss term is `+0.0`.
-    /// - Float rounding is monotone, so every queue stays at or below `r`.
-    ///   When `r` returns to `0` every queue is `0` too, equal again.
-    ///
-    /// So a queue is stepped only through an *excursion* of `r` (from a
-    /// frame where `r` rises above the smallest buffer until `r` is `0`
-    /// again) whose peak exceeds its buffer, and also through the first
-    /// excursion if it entered the call below the reference. Those steps
-    /// run [`BANK_LANES`] queues at a time, frame-major: for each frame
-    /// every lane of a chunk is advanced before the next frame, so their
-    /// independent recursions overlap and vectorise. At a light load the
-    /// reference is `0` in almost every frame and the sweep costs little
-    /// more than one pass over the batch; at a heavy load it costs one
-    /// serial recursion plus stepping every buffer. `offered` is the same
-    /// sum in every lane that entered with the first queue's total, so the
-    /// reference lane adds it once, in the same pass; a queue that entered
-    /// with another total sums it on its own. A bank of mixed capacities
-    /// has no common reference: every queue is stepped.
-    ///
-    /// Zero workloads are `+0.0` bits on both sides of every comparison:
-    /// `max(·, 0.0)` never returns `-0.0` here, and
-    /// [`finite`](Self::finite) stores a `-0.0` buffer as `+0.0`.
-    ///
-    /// Each call starts the reference from the largest lane workload. A
-    /// [`BufferBank`] keeps it across calls instead, as the infinite-buffer
-    /// queue whose workload the BOP estimate samples.
-    pub fn offer_batch_bank(queues: &mut [FluidQueue], arrivals: &[f64]) {
-        let Some(first) = queues.first() else {
-            return;
-        };
-        let (cap, start) = (first.capacity, first.account.offered);
-        if queues.iter().any(|q| q.capacity != cap) {
-            // No common reference: step every queue.
-            add_offered(queues, arrivals, None);
-            for chunk in queues.chunks_mut(BANK_LANES) {
-                step_lanes(chunk.iter_mut(), arrivals);
-            }
-            return;
-        }
-        let mut r = queues.iter().map(|q| q.workload).fold(0.0, f64::max);
-        let mut offered = start;
-        sweep(queues, cap, &mut r, arrivals, None, &mut offered);
-        add_offered(queues, arrivals, Some((start, offered)));
-    }
-
     /// Offers a batch and records every post-offer workload in `est` — the
     /// batched form of alternating `offer` / `BopEstimator::observe` per
     /// frame on an infinite-buffer queue (finite buffers work too; the
@@ -285,9 +229,9 @@ impl FluidQueue {
 /// The finite-buffer grid of one multiplexer swept together with the
 /// infinite-buffer queue at the same capacity.
 ///
-/// The infinite-buffer workload `r ← max(r + x − c, 0)` is the reference
-/// lane of [`FluidQueue::offer_batch_bank`], kept across calls rather than
-/// restarted from the largest finite workload. It is also the queue whose
+/// The infinite-buffer workload `r ← max(r + x − c, 0)` is the sweep's
+/// reference lane: every finite queue is at most `r`, and a queue is stepped
+/// on its own only while it can differ from `r`. It is also the queue whose
 /// workload the [`BopEstimator`] samples for `P(W > b)`, so one serial
 /// recursion per frame serves both the CLR sweep and the BOP estimate.
 #[derive(Debug, Clone)]
@@ -330,9 +274,12 @@ impl BufferBank {
     /// every frame's workload is at most the smallest buffer; when that is
     /// at most `bop`'s first threshold those frames are counted into its
     /// first bucket at once, otherwise they are observed one by one.
+    ///
+    /// Every queue holds the same `offered` total, since `new`, `offer` and
+    /// `clear_accounts` treat them all alike: the sweep sums the batch once
+    /// and each queue takes that sum.
     pub fn offer(&mut self, arrivals: &[f64], bop: Option<&mut BopEstimator>) {
-        let start = self.queues.first().map_or(0.0, |q| q.account.offered);
-        let mut offered = start;
+        let mut offered = self.queues.first().map_or(0.0, |q| q.account.offered);
         sweep(
             &mut self.queues,
             self.capacity,
@@ -341,7 +288,9 @@ impl BufferBank {
             bop,
             &mut offered,
         );
-        add_offered(&mut self.queues, arrivals, Some((start, offered)));
+        for q in self.queues.iter_mut() {
+            q.account.offered = offered;
+        }
     }
 
     /// The finite queues, in grid order.
@@ -363,39 +312,40 @@ impl BufferBank {
     }
 }
 
-/// Adds the batch to every queue's `offered`. It does not depend on the
-/// buffer: queues that enter with the same total leave with the same total,
-/// so the sum is taken once per run of such queues. `known` is a total the
-/// caller has already summed, as `(start, total)`: the sweep's own sum for
-/// the queues that entered with `start`, so in a bank, whose queues all
-/// share one total, nothing is summed here.
+/// The reference-lane sweep behind [`BufferBank::offer`], for finite queues
+/// that share capacity `cap`. `r` is the infinite-buffer workload, at least
+/// every queue's; it ends as that workload after the batch. Each queue ends
+/// bit-identical to [`FluidQueue::offer_batch`] on it alone, because it is
+/// stepped only while it can differ from `r`:
 ///
-/// The sweep sums in its calm and excursion loops rather than in a pass of
-/// its own. The sum is a serial `o + x` chain, one dependent add per frame
-/// in frame order, which bit-identity across batch sizes requires; in the
-/// sweep it overlaps the reference lane's own work. On 2¹⁸ frames of
+/// - A queue whose workload equals `r` stays equal to it, with its loss
+///   unchanged, for as long as `r` stays at or below its buffer: it runs
+///   the same operations on the same bits, and its loss term is `+0.0`.
+/// - Float rounding is monotone, so every queue stays at or below `r`.
+///   When `r` returns to `0` every queue is `0` too, equal again.
+///
+/// So a queue is stepped only through an *excursion* of `r` (from a frame
+/// where `r` rises above the smallest buffer until `r` is `0` again) whose
+/// peak exceeds its buffer, and also through the first excursion if it
+/// entered the call below the reference (a previous call ended inside an
+/// excursion). Those steps run [`BANK_LANES`] queues at a time (see
+/// `step_lanes`). At a light load the reference is `0` in almost every
+/// frame and the sweep costs little more than one pass over the batch; at a
+/// heavy load it costs one serial recursion plus stepping every buffer.
+///
+/// Zero workloads are `+0.0` bits on both sides of every comparison:
+/// `max(·, 0.0)` never returns `-0.0` here, and [`FluidQueue::finite`]
+/// stores a `-0.0` buffer as `+0.0`.
+///
+/// Given `bop`, every post-offer `r` is recorded in it. The batch is added
+/// to `offered` frame by frame, in the calm and excursion loops rather than
+/// in a pass of its own; the queues' own `offered` is left to the caller.
+/// The sum is a serial `o + x` chain, one dependent add per frame in frame
+/// order, which bit-identity across batch sizes requires; in the sweep it
+/// overlaps the reference lane's own work. On 2¹⁸ frames of
 /// 30 × S(0.975, 3) with 32 buffers, BOP on and 4096-frame batches (2-vCPU
 /// Xeon), `BufferBank::offer` took ~2.0–2.1 ns per frame with a separate
 /// pass and ~0.85–0.95 ns folded.
-fn add_offered(queues: &mut [FluidQueue], arrivals: &[f64], known: Option<(f64, f64)>) {
-    let mut previous = known.map(|(start, total)| (start.to_bits(), total));
-    for q in queues.iter_mut() {
-        let start = q.account.offered.to_bits();
-        let total = match previous {
-            Some((bits, total)) if bits == start => total,
-            _ => arrivals.iter().fold(q.account.offered, |o, &x| o + x),
-        };
-        previous = Some((start, total));
-        q.account.offered = total;
-    }
-}
-
-/// The reference-lane sweep behind [`FluidQueue::offer_batch_bank`] and
-/// [`BufferBank::offer`], for queues that share capacity `cap`. `r` is the
-/// reference's workload, at least every queue's; it ends as the
-/// infinite-buffer workload after the batch. Given `bop`, every post-offer
-/// `r` is recorded in it. The batch is added to `offered` frame by frame;
-/// the queues' own `offered` is left to the caller.
 fn sweep(
     queues: &mut [FluidQueue],
     cap: f64,
@@ -474,7 +424,7 @@ fn sweep(
                 None
             }
         });
-        step_lanes(lanes, &arrivals[start..n]);
+        step_lanes(lanes, cap, &arrivals[start..n]);
         entry = false;
         if n == arrivals.len() {
             (*r, *offered) = (w, o);
@@ -526,23 +476,24 @@ fn advance_calm(
 /// for each frame every lane of a chunk takes one step of
 /// [`FluidQueue::offer_batch`]'s recursion before the next frame, so the
 /// lanes' independent `w → max → min` chains overlap in the pipeline and
-/// vectorise. A short chunk is padded with all-zero scratch lanes (they see
-/// `w = min(x, 0) = 0` every frame) that are never written back. An
-/// infinite buffer runs with a bound of `+∞`: `min` never binds and the
-/// loss term is always `+0.0`. `offered` is left to the caller.
-fn step_lanes<'a>(mut lanes: impl Iterator<Item = &'a mut FluidQueue>, arrivals: &[f64]) {
+/// vectorise. Every lane runs at the bank's capacity `cap`. A short chunk is
+/// padded with zero-buffer scratch lanes (`min(·, 0) = 0` every frame) that
+/// are never written back. `offered` is left to the caller.
+fn step_lanes<'a>(
+    mut lanes: impl Iterator<Item = &'a mut FluidQueue>,
+    cap: f64,
+    arrivals: &[f64],
+) {
     loop {
         let mut chunk: [Option<&mut FluidQueue>; BANK_LANES] =
             std::array::from_fn(|_| lanes.next());
         if chunk[0].is_none() {
             return;
         }
-        let mut cap = [0.0; BANK_LANES];
         let mut bound = [0.0; BANK_LANES];
         let mut w = [0.0; BANK_LANES];
         let mut lost = [0.0; BANK_LANES];
         for (l, q) in chunk.iter().flatten().enumerate() {
-            cap[l] = q.capacity;
             bound[l] = q.bound();
             w[l] = q.workload;
             lost[l] = q.account.lost;
@@ -550,7 +501,7 @@ fn step_lanes<'a>(mut lanes: impl Iterator<Item = &'a mut FluidQueue>, arrivals:
         for &x in arrivals {
             debug_assert!(x >= 0.0, "negative arrivals {x}");
             for l in 0..BANK_LANES {
-                let unconstrained = (w[l] + x - cap[l]).max(0.0);
+                let unconstrained = (w[l] + x - cap).max(0.0);
                 lost[l] += (unconstrained - bound[l]).max(0.0);
                 w[l] = unconstrained.min(bound[l]);
             }
@@ -816,17 +767,31 @@ mod tests {
         }
     }
 
-    /// A bank of `n` queues over a grid that starts at a zero buffer and
-    /// spans the typical workload, so both losing and idle lanes occur.
-    fn bank(n: usize) -> Vec<FluidQueue> {
-        (0..n)
-            .map(|i| FluidQueue::finite(100.0, 7.0 * i as f64))
+    /// A grid of `n` buffers that starts at zero and spans the typical
+    /// workload, so both losing and idle lanes occur.
+    fn grid(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 7.0 * i as f64).collect()
+    }
+
+    /// The per-queue oracle for a [`BufferBank`] at capacity 100: one queue
+    /// per buffer of `buffers`, then an infinite-buffer queue.
+    fn per_queue(buffers: &[f64]) -> Vec<FluidQueue> {
+        buffers
+            .iter()
+            .map(|&b| FluidQueue::finite(100.0, b))
+            .chain([FluidQueue::infinite(100.0)])
             .collect()
     }
 
-    fn assert_same_bits(reference: &[FluidQueue], bank: &[FluidQueue]) {
-        assert_eq!(reference.len(), bank.len());
-        for (i, (a, b)) in reference.iter().zip(bank).enumerate() {
+    fn offer_each(queues: &mut [FluidQueue], arrivals: &[f64]) {
+        for q in queues.iter_mut() {
+            q.offer_batch(arrivals);
+        }
+    }
+
+    fn assert_same_bits(reference: &[FluidQueue], queues: &[FluidQueue]) {
+        assert_eq!(reference.len(), queues.len());
+        for (i, (a, b)) in reference.iter().zip(queues).enumerate() {
             assert_eq!(
                 a.workload().to_bits(),
                 b.workload().to_bits(),
@@ -845,6 +810,18 @@ mod tests {
         }
     }
 
+    /// `reference` is [`per_queue`]'s layout: the bank's queues, then its
+    /// infinite-buffer queue.
+    fn assert_bank_bits(reference: &[FluidQueue], bank: &BufferBank) {
+        let (infinite, finite) = reference.split_last().expect("infinite queue");
+        assert_same_bits(finite, bank.queues());
+        assert_eq!(
+            infinite.workload().to_bits(),
+            bank.infinite_workload().to_bits(),
+            "infinite workload"
+        );
+    }
+
     /// Bursty arrivals around a capacity of 100 with irrational-ish
     /// fractions, so every lane accumulates rounding.
     fn bursty(frames: usize) -> Vec<f64> {
@@ -857,81 +834,33 @@ mod tests {
     }
 
     #[test]
-    fn offer_batch_bank_matches_per_queue_offer_batch_for_every_bank_size() {
+    fn buffer_bank_matches_per_queue_offer_batch_for_every_bank_size() {
         let arrivals = bursty(997);
         for n in [0, 1, 9, 15, 16, 17, 32, 33] {
-            let mut reference = bank(n);
-            for q in reference.iter_mut() {
-                q.offer_batch(&arrivals);
-            }
-            let mut fused = bank(n);
-            FluidQueue::offer_batch_bank(&mut fused, &arrivals);
-            assert_same_bits(&reference, &fused);
+            let mut reference = per_queue(&grid(n));
+            offer_each(&mut reference, &arrivals);
+            let mut bank = BufferBank::new(100.0, &grid(n));
+            bank.offer(&arrivals, None);
+            assert_bank_bits(&reference, &bank);
             if n > 1 {
                 // The grid really exercises loss and a zero buffer.
-                assert_eq!(fused[0].buffer(), Some(0.0));
-                assert!(fused[0].account().lost > 0.0, "n={n}: no loss at B=0");
+                let first = &bank.queues()[0];
+                assert_eq!(first.buffer(), Some(0.0));
+                assert!(first.account().lost > 0.0, "n={n}: no loss at B=0");
             }
         }
     }
 
     #[test]
-    fn offer_batch_bank_carries_state_across_calls_and_ignores_empty_batches() {
+    fn buffer_bank_carries_state_across_calls_and_ignores_empty_batches() {
         let arrivals = bursty(513);
-        let mut reference = bank(17);
-        for q in reference.iter_mut() {
-            q.offer_batch(&arrivals);
-        }
-        let mut fused = bank(17);
-        FluidQueue::offer_batch_bank(&mut fused, &arrivals[..200]);
-        FluidQueue::offer_batch_bank(&mut fused, &[]);
-        FluidQueue::offer_batch_bank(&mut fused, &arrivals[200..]);
-        assert_same_bits(&reference, &fused);
-    }
-
-    /// The sweep's `offered` sum serves the queues that entered with the
-    /// first queue's total; a queue that entered with another total, first
-    /// or later in the bank, still leaves with its own sum.
-    #[test]
-    fn offer_batch_bank_keeps_each_entry_total() {
-        let arrivals = bursty(300);
-        for odd in [0, 2] {
-            let make = || {
-                let mut queues = bank(5);
-                queues[odd].offer_batch(&[140.0, 7.5]);
-                queues
-            };
-            let mut reference = make();
-            for q in reference.iter_mut() {
-                q.offer_batch(&arrivals);
-            }
-            let mut fused = make();
-            FluidQueue::offer_batch_bank(&mut fused, &arrivals);
-            assert_same_bits(&reference, &fused);
-        }
-    }
-
-    #[test]
-    fn offer_batch_bank_handles_mixed_capacities_and_infinite_buffers() {
-        let arrivals = bursty(300);
-        let make = || {
-            vec![
-                FluidQueue::finite(90.0, 0.0),
-                FluidQueue::infinite(100.0),
-                FluidQueue::finite(110.0, 25.0),
-                FluidQueue::finite(100.0, 0.0),
-                FluidQueue::infinite(95.0),
-            ]
-        };
-        let mut reference = make();
-        for q in reference.iter_mut() {
-            q.offer_batch(&arrivals);
-        }
-        let mut fused = make();
-        FluidQueue::offer_batch_bank(&mut fused, &arrivals);
-        assert_same_bits(&reference, &fused);
-        assert_eq!(fused[1].account().lost, 0.0);
-        assert!(fused[4].workload() > 0.0);
+        let mut reference = per_queue(&grid(17));
+        offer_each(&mut reference, &arrivals);
+        let mut bank = BufferBank::new(100.0, &grid(17));
+        bank.offer(&arrivals[..200], None);
+        bank.offer(&[], None);
+        bank.offer(&arrivals[200..], None);
+        assert_bank_bits(&reference, &bank);
     }
 
     /// A `-0.0` buffer is stored as `+0.0`, so it loses, offers and leaves
@@ -946,31 +875,21 @@ mod tests {
         );
         let mut arrivals = bursty(400);
         arrivals.extend([150.0, 10.0, 0.0, 20.0, 130.0]);
-        let make = |b: f64| {
-            vec![
-                FluidQueue::finite(100.0, b),
-                FluidQueue::finite(100.0, 7.0),
-                FluidQueue::finite(100.0, b),
-            ]
-        };
-        let mut reference = make(0.0);
-        for q in reference.iter_mut() {
-            q.offer_batch(&arrivals);
-        }
+        let buffers = |b: f64| [b, 7.0, b];
+        let mut reference = per_queue(&buffers(0.0));
+        offer_each(&mut reference, &arrivals);
         assert!(reference[0].account().lost > 0.0);
         for b in [0.0, -0.0] {
-            let mut per_queue = make(b);
-            for q in per_queue.iter_mut() {
-                q.offer_batch(&arrivals);
-            }
-            assert_same_bits(&reference, &per_queue);
-            let mut fused = make(b);
+            let mut queues = per_queue(&buffers(b));
+            offer_each(&mut queues, &arrivals);
+            assert_same_bits(&reference, &queues);
+            let mut bank = BufferBank::new(100.0, &buffers(b));
             let (head, last) = (arrivals.len() - 5, arrivals.len() - 1);
-            FluidQueue::offer_batch_bank(&mut fused, &arrivals[..head]);
-            assert_eq!(fused[0].workload().to_bits(), 0.0f64.to_bits());
-            FluidQueue::offer_batch_bank(&mut fused, &arrivals[head..last]);
-            FluidQueue::offer_batch_bank(&mut fused, &arrivals[last..]);
-            assert_same_bits(&reference, &fused);
+            bank.offer(&arrivals[..head], None);
+            assert_eq!(bank.queues()[0].workload().to_bits(), 0.0f64.to_bits());
+            bank.offer(&arrivals[head..last], None);
+            bank.offer(&arrivals[last..], None);
+            assert_bank_bits(&reference, &bank);
         }
     }
 

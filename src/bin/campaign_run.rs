@@ -1,6 +1,6 @@
 //! Supervised multi-process CLR campaign driver.
 //!
-//! One binary, four modes:
+//! One binary, three modes:
 //!
 //! * **coordinator** (default): shards the replications, spawns one worker
 //!   process per shard (re-executing itself with `--worker`), supervises
@@ -17,9 +17,9 @@
 //! * **report** (`--report DIR`): replays a campaign dir's recorded event
 //!   files into a post-mortem timeline (stderr) and a machine-readable JSON
 //!   summary (stdout).
-//! * **bench** (`--bench OUT.json`): times a fault-free campaign against a
-//!   direct in-process run on the same config and records the supervisor
-//!   overhead plus a bit-identity check.
+//!
+//! An unknown flag, or a known one without its value, exits with status 2
+//! before anything runs.
 //!
 //! The Gaussian AR(1) source keeps the campaign machinery honest without
 //! coupling it to the paper models; the `fig8` campaign recipe in
@@ -39,12 +39,11 @@ use vbr_sim::campaign::{self, CampaignOptions, CampaignOutcome};
 use vbr_sim::obs::aggregate::{render_campaign_prometheus, render_dashboard, CampaignAggregator};
 use vbr_sim::obs::tail::Tailer;
 use vbr_sim::obs::JsonlRecorder;
-use vbr_sim::{run, RetryPolicy, RunOptions, SimConfig, SimOutcome};
+use vbr_sim::{run, RetryPolicy, SimConfig};
 
 /// Everything both sides of the fork must agree on. The coordinator forwards
 /// these flags verbatim to every worker so the config fingerprint (and hence
 /// checkpoint compatibility) is identical across processes.
-#[derive(Clone)]
 struct SharedConfig {
     replications: usize,
     frames: usize,
@@ -169,8 +168,6 @@ struct CoordinatorConfig {
     max_attempts: u32,
     backoff_base: Duration,
     threads: Option<usize>,
-    bench: Option<PathBuf>,
-    bench_label: String,
     watch: bool,
     serve: Option<String>,
 }
@@ -187,6 +184,10 @@ struct WorkerConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(msg) = check_args(&args) {
+        eprintln!("error: {msg} (see --help)");
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();
         return;
@@ -208,7 +209,6 @@ fn print_help() {
 USAGE:
   campaign_run [FLAGS]                  run a supervised campaign
   campaign_run --report DIR             post-mortem timeline + JSON summary
-  campaign_run --bench OUT.json [FLAGS] fault-free overhead benchmark
   campaign_run --worker [FLAGS]         (internal) run one shard
 
 CONFIG FLAGS (forwarded to workers):
@@ -246,12 +246,61 @@ OBSERVATORY FLAGS (read-only; results stay bit-identical on or off):
   --report DIR              replay DIR's recorded event streams into a
                             post-mortem timeline (stderr) + JSON summary
                             (stdout), then exit
-  --bench-label NAME        label written into --bench output (default BENCH_5)
 
 Fault injection: set VBR_FAULT=crash@r[:k]|hang@r[:k]|corrupt-checkpoint@r[:k]
 (comma-separated; k = attempt number, `*` = every attempt). Workers inherit
 the environment, so exporting VBR_FAULT before a campaign injects chaos."
     );
+}
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["--worker", "--watch", "--help", "-h"];
+
+/// Flags followed by one value: the config flags, the coordinator and
+/// observatory flags, and the worker-only flags the coordinator passes on.
+const VALUE_FLAGS: &[&str] = &[
+    "--replications",
+    "--frames",
+    "--warmup",
+    "--sources",
+    "--capacity",
+    "--buffers",
+    "--seed",
+    "--mean",
+    "--sd",
+    "--model",
+    "--phi",
+    "--hurst",
+    "--shards",
+    "--dir",
+    "--heartbeat-timeout-ms",
+    "--poll-ms",
+    "--worker-heartbeat-ms",
+    "--max-attempts",
+    "--backoff-base-ms",
+    "--threads",
+    "--serve",
+    "--report",
+    "--range",
+    "--shard",
+    "--checkpoint",
+    "--events",
+];
+
+/// Walks argv once and names the first token that is neither a known flag
+/// nor the value of one, or a value flag that ends argv.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        if VALUE_FLAGS.contains(&token.as_str()) {
+            if tokens.next().is_none() {
+                return Err(format!("{token} needs a value"));
+            }
+        } else if !SWITCHES.contains(&token.as_str()) {
+            return Err(format!("unknown argument {token:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// Pulls `--flag value` from argv, parsed; exits with a message on garbage.
@@ -395,8 +444,6 @@ fn parse_coordinator(args: &[String]) -> CoordinatorConfig {
         max_attempts: flag(args, "--max-attempts").unwrap_or(3),
         backoff_base: Duration::from_millis(flag(args, "--backoff-base-ms").unwrap_or(200)),
         threads: flag(args, "--threads"),
-        bench: flag(args, "--bench"),
-        bench_label: flag(args, "--bench-label").unwrap_or_else(|| "BENCH_5".to_string()),
         watch: args.iter().any(|a| a == "--watch"),
         serve: flag(args, "--serve"),
     }
@@ -701,9 +748,6 @@ fn print_summary_json(outcome: &CampaignOutcome) {
 
 fn coordinator_main(args: &[String]) -> i32 {
     let cfg = parse_coordinator(args);
-    if let Some(bench_out) = &cfg.bench {
-        return bench_main(&cfg, bench_out);
-    }
     match run_supervised(&cfg) {
         Ok(outcome) => {
             let r = &outcome.report;
@@ -732,134 +776,5 @@ fn coordinator_main(args: &[String]) -> i32 {
             eprintln!("campaign error: {e}");
             1
         }
-    }
-}
-
-/// Fault-free supervisor-overhead benchmark (BENCH_5): direct in-process run
-/// vs a supervised multi-process campaign on the same config, plus pooled-CLR
-/// bit-identity between the two.
-fn bench_main(cfg: &CoordinatorConfig, out: &std::path::Path) -> i32 {
-    let sim_config = cfg.shared.sim_config();
-    let proto = cfg.shared.prototype();
-    if let Err(e) = std::fs::create_dir_all(&cfg.dir) {
-        eprintln!("bench: cannot create {}: {e}", cfg.dir.display());
-        return 1;
-    }
-
-    // The direct baseline gets the same per-replication checkpoint
-    // durability the workers have, so the delta is the supervisor itself
-    // (spawn + heartbeats + poll loop + merge), not the checkpoint writes.
-    let time_direct = |label: &str| -> Result<(f64, SimOutcome), vbr_sim::SimError> {
-        let ckpt = cfg.dir.join(format!("{label}.ckpt"));
-        let _ = std::fs::remove_file(&ckpt);
-        let _ = std::fs::remove_file(ckpt.with_extension("ckpt.prev"));
-        let t = Instant::now();
-        let outcome = run(
-            &*proto,
-            &sim_config,
-            &RunOptions {
-                threads: cfg.threads,
-                checkpoint: Some(vbr_sim::CheckpointPolicy::new(&ckpt)),
-                ..RunOptions::default()
-            },
-        )?;
-        Ok((t.elapsed().as_secs_f64(), outcome))
-    };
-    let time_campaign = |label: &str| -> Result<(f64, CampaignOutcome), vbr_sim::SimError> {
-        let dir = cfg.dir.join(label);
-        let _ = std::fs::remove_dir_all(&dir);
-        let run_cfg = CoordinatorConfig {
-            shared: cfg.shared.clone(),
-            shards: cfg.shards,
-            dir,
-            heartbeat_timeout: cfg.heartbeat_timeout,
-            poll: cfg.poll,
-            worker_heartbeat: cfg.worker_heartbeat,
-            max_attempts: cfg.max_attempts,
-            backoff_base: cfg.backoff_base,
-            threads: cfg.threads,
-            bench: None,
-            bench_label: cfg.bench_label.clone(),
-            watch: false,
-            serve: None,
-        };
-        let t = Instant::now();
-        let outcome = run_supervised(&run_cfg)?;
-        Ok((t.elapsed().as_secs_f64(), outcome))
-    };
-
-    let runs = 3usize;
-    let mut direct_times = Vec::new();
-    let mut campaign_times = Vec::new();
-    let mut direct_outcome = None;
-    let mut campaign_outcome = None;
-    for i in 0..runs {
-        match time_direct(&format!("direct-{i}")) {
-            Ok((secs, o)) => {
-                direct_times.push(secs);
-                direct_outcome = Some(o);
-            }
-            Err(e) => {
-                eprintln!("bench: direct run failed: {e}");
-                return 1;
-            }
-        }
-        match time_campaign(&format!("bench-{i}")) {
-            Ok((secs, o)) => {
-                campaign_times.push(secs);
-                campaign_outcome = Some(o);
-            }
-            Err(e) => {
-                eprintln!("bench: campaign run failed: {e}");
-                return 1;
-            }
-        }
-    }
-    let (Some(direct), Some(campaign)) = (direct_outcome, campaign_outcome) else {
-        eprintln!("bench: no outcomes");
-        return 1;
-    };
-    let bits = |o: &SimOutcome| -> Vec<u64> {
-        o.per_buffer.iter().map(|e| e.pooled.clr().to_bits()).collect()
-    };
-    let identical = bits(&direct) == bits(&campaign.outcome)
-        && !campaign.outcome.provenance.is_partial()
-        && campaign.report.restarts == 0;
-    let best = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-    let fmt_runs = |v: &[f64]| {
-        v.iter()
-            .map(|s| format!("{s:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let direct_best = best(&direct_times);
-    let campaign_best = best(&campaign_times);
-    let overhead_pct = (campaign_best / direct_best - 1.0) * 100.0;
-    let body = format!(
-        "{{\n  \"bench\": \"{}\",\n  \"description\": \"supervisor overhead on the fault-free path: Gaussian AR(1) N={}, {} frames/rep, {} reps, {} buffers, {} shard processes vs one direct in-process run\",\n  \"direct_runs_seconds\": [{}],\n  \"direct_best_seconds\": {:.3},\n  \"campaign_runs_seconds\": [{}],\n  \"campaign_best_seconds\": {:.3},\n  \"supervisor_overhead_pct\": {:.3},\n  \"clr_buffer0\": {:e},\n  \"results_bit_identical\": {}\n}}\n",
-        cfg.bench_label,
-        cfg.shared.sources,
-        cfg.shared.frames,
-        cfg.shared.replications,
-        cfg.shared.buffers.len(),
-        cfg.shards,
-        fmt_runs(&direct_times),
-        direct_best,
-        fmt_runs(&campaign_times),
-        campaign_best,
-        overhead_pct,
-        direct.per_buffer[0].pooled.clr(),
-        identical,
-    );
-    if let Err(e) = std::fs::write(out, &body) {
-        eprintln!("bench: cannot write {}: {e}", out.display());
-        return 1;
-    }
-    print!("{body}");
-    if identical {
-        0
-    } else {
-        eprintln!("bench: campaign result NOT bit-identical to direct run");
-        1
     }
 }

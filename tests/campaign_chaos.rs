@@ -366,3 +366,30 @@ fn reference_config_matches_binary_defaults() {
     assert_eq!(verified, 2, "shard 0 owns replications 0..2");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `campaign_run` rejects argv it does not know before anything runs: the
+/// retired `--bench OUT.json`, a misspelt config flag and a value flag that
+/// ends argv each exit 2, name the offending token, and leave no campaign
+/// dir (and no `--bench` output) behind.
+#[test]
+fn unknown_flags_exit_2_without_creating_the_campaign_dir() {
+    let dir = temp_dir("unknown_flag");
+    let bench_out = dir.with_extension("json");
+    let _ = std::fs::remove_file(&bench_out);
+    let bench_arg = bench_out.to_string_lossy().into_owned();
+    for (extra, token) in [
+        (vec!["--bench", bench_arg.as_str()], "--bench"),
+        (vec!["--hurts", "0.7"], "--hurts"),
+        (vec!["--seed"], "--seed"),
+    ] {
+        let out = campaign_cmd(&dir)
+            .args(&extra)
+            .output()
+            .expect("spawn campaign_run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(token), "{extra:?}: {stderr}");
+        assert!(!dir.exists(), "{extra:?} created {}", dir.display());
+    }
+    assert!(!bench_out.exists(), "--bench wrote {}", bench_out.display());
+}

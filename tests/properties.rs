@@ -57,80 +57,37 @@ proptest! {
         prop_assert!(large.account().lost <= small.account().lost + 1e-9);
     }
 
-    /// The fused buffer-bank sweep is bit-identical to one `offer_batch` per
-    /// queue on any sorted buffer grid, any bank size (full lane chunks,
-    /// padded remainders) and any split of the batch into two calls. One
-    /// burst frame above capacity plus the largest buffer makes every
-    /// queue lose, so the loss accumulators are exercised on every lane.
-    #[test]
-    fn offer_batch_bank_bit_identical_to_per_queue(
-        capacity in 10.0f64..1000.0,
-        mut grid in proptest::collection::vec(0.0f64..4000.0, 0..40),
-        mut arrivals in proptest::collection::vec(0.0f64..3000.0, 1..300),
-        burst_at in 0usize..300,
-        split_at in 0usize..301,
-    ) {
-        grid.sort_by(f64::total_cmp);
-        let top = grid.last().copied().unwrap_or(0.0);
-        let at = burst_at % arrivals.len();
-        arrivals.insert(at, capacity + top + 1.0);
-        let split = split_at.min(arrivals.len());
-
-        let make = || -> Vec<FluidQueue> {
-            grid.iter().map(|&b| FluidQueue::finite(capacity, b)).collect()
-        };
-        let mut reference = make();
-        for q in reference.iter_mut() {
-            q.offer_batch(&arrivals);
-        }
-        let mut fused = make();
-        FluidQueue::offer_batch_bank(&mut fused, &arrivals[..split]);
-        FluidQueue::offer_batch_bank(&mut fused, &arrivals[split..]);
-        for (i, (a, b)) in reference.iter().zip(&fused).enumerate() {
-            prop_assert!(b.account().lost > 0.0, "buffer {} saw no loss", i);
-            prop_assert_eq!(a.workload().to_bits(), b.workload().to_bits(), "workload {}", i);
-            prop_assert_eq!(
-                a.account().offered.to_bits(),
-                b.account().offered.to_bits(),
-                "offered {}",
-                i
-            );
-            prop_assert_eq!(a.account().lost.to_bits(), b.account().lost.to_bits(), "lost {}", i);
-        }
-    }
-
     /// The reference-lane buffer bank is bit-identical to one `offer_batch`
-    /// per queue in every regime that moves lanes off the reference: a
-    /// heavy load whose reference never empties; long idle stretches;
-    /// integer capacities, arrivals and buffers, so `w + x == c` and lanes
-    /// landing exactly on their buffers are common; lanes that enter with
-    /// their own workloads and `offered` totals (each ran its own history
-    /// first, or all ran one history through different buffers); unsorted
-    /// grids with infinite buffers; and a batch split inside an excursion.
-    /// `BopEstimator::observe` files the reference's workloads, every
-    /// threshold, the values between them, zeros, `+∞` and NaN in the
-    /// bucket `partition_point` gives.
+    /// per queue, and its BOP lane to `offer_batch_observing` on a
+    /// `FluidQueue::infinite`, in every regime that moves lanes off the
+    /// reference: a heavy load whose reference never empties; long idle
+    /// stretches; integer capacities, arrivals and buffers, so `w + x == c`
+    /// and lanes landing exactly on their buffers are common; unsorted grids
+    /// of any size (full lane chunks, padded remainders, none); and a batch
+    /// split inside an excursion. One burst above capacity plus the largest
+    /// buffer makes every queue lose, so the loss accumulators are exercised
+    /// on every lane. `BopEstimator::observe` files the reference's
+    /// workloads, every threshold, the values between them, zeros, `+∞` and
+    /// NaN in the bucket `partition_point` gives.
     #[test]
     fn coupled_bank_and_bop_fast_path_bit_identical_in_every_regime(
         (integer_capacity, capacity_int, capacity_real) in (any::<bool>(), 1u32..50, 1.0f64..500.0),
-        lanes in proptest::collection::vec((0u8..6, 0u32..60, 0.0f64..400.0), 1..40),
+        lanes in proptest::collection::vec((0u8..6, 0u32..60, 0.0f64..400.0), 0..40),
         heavy in any::<bool>(),
         segments in proptest::collection::vec((0u8..4, 1usize..1500, any::<u64>()), 1..6),
-        own_history in any::<bool>(),
-        history_len in 0usize..60,
-        history_seed in any::<u64>(),
         burst_at in 0usize..5000,
         split_at in 0usize..5000,
     ) {
         use rand::RngCore as _;
+        use vbr_sim::BufferBank;
         let capacity = if integer_capacity { f64::from(capacity_int) } else { capacity_real };
-        // Half the buffers are integers, one in six is infinite.
+        // Half the buffers are integers, one in six reaches 4000.
         let grid: Vec<f64> = lanes
             .iter()
             .map(|&(kind, int, real)| match kind {
                 0..=2 => f64::from(int),
                 3 | 4 => real,
-                _ => f64::INFINITY,
+                _ => 10.0 * real,
             })
             .collect();
         // Uniforms in [0, 1) from a seed, so one strategy value expands
@@ -153,76 +110,70 @@ proptest! {
                 _ => if u < 0.02 { capacity * (2.0 + 20.0 * u) } else { capacity * 0.9 * u },
             }));
         }
-        // A burst above every finite buffer, then a split right after it:
-        // a call ends inside an excursion.
-        let top = grid.iter().copied().filter(|b| b.is_finite()).fold(0.0, f64::max);
+        // A burst above every buffer, then a split right after it: a call
+        // ends inside an excursion.
+        let top = grid.iter().copied().fold(0.0, f64::max);
         let at = burst_at % (arrivals.len() + 1);
         arrivals.insert(at, capacity + top + 1.0);
         let mut cuts = [at + 1, split_at % (arrivals.len() + 1)];
         cuts.sort_unstable();
 
-        let make = || -> Vec<FluidQueue> {
-            let mut queues: Vec<FluidQueue> = grid
-                .iter()
-                .map(|&b| if b.is_finite() {
-                    FluidQueue::finite(capacity, b)
-                } else {
-                    FluidQueue::infinite(capacity)
-                })
-                .collect();
-            for (i, q) in queues.iter_mut().enumerate() {
-                let (seed, len) = if own_history {
-                    (history_seed ^ i as u64, (history_len + 7 * i) % 60)
-                } else {
-                    (history_seed, history_len)
-                };
-                let history: Vec<f64> =
-                    uniforms(seed, len).iter().map(|u| u * 3.0 * capacity).collect();
-                q.offer_batch(&history);
-            }
-            queues
-        };
-        let mut reference = make();
-        for q in reference.iter_mut() {
-            q.offer_batch(&arrivals);
-        }
-        let mut bank = make();
-        FluidQueue::offer_batch_bank(&mut bank, &arrivals[..cuts[0]]);
-        FluidQueue::offer_batch_bank(&mut bank, &arrivals[cuts[0]..cuts[1]]);
-        FluidQueue::offer_batch_bank(&mut bank, &arrivals[cuts[1]..]);
-        for (i, (a, b)) in reference.iter().zip(&bank).enumerate() {
-            prop_assert_eq!(a.workload().to_bits(), b.workload().to_bits(), "workload {}", i);
-            prop_assert_eq!(
-                a.account().offered.to_bits(),
-                b.account().offered.to_bits(),
-                "offered {}",
-                i
-            );
-            prop_assert_eq!(a.account().lost.to_bits(), b.account().lost.to_bits(), "lost {}", i);
-        }
-
-        let mut thresholds: Vec<f64> = grid.iter().copied().filter(|b| b.is_finite()).collect();
+        let mut thresholds = grid.clone();
         thresholds.push(capacity);
         thresholds.sort_by(f64::total_cmp);
         thresholds.dedup();
+
+        let mut queues: Vec<FluidQueue> =
+            grid.iter().map(|&b| FluidQueue::finite(capacity, b)).collect();
+        for q in queues.iter_mut() {
+            q.offer_batch(&arrivals);
+        }
+        let mut infinite = FluidQueue::infinite(capacity);
+        let mut expected = BopEstimator::new(thresholds.clone());
+        infinite.offer_batch_observing(&arrivals, &mut expected);
+        let mut bank = BufferBank::new(capacity, &grid);
+        let mut observed_bank = BufferBank::new(capacity, &grid);
+        let mut bop = BopEstimator::new(thresholds.clone());
+        for span in [&arrivals[..cuts[0]], &arrivals[cuts[0]..cuts[1]], &arrivals[cuts[1]..]] {
+            bank.offer(span, None);
+            observed_bank.offer(span, Some(&mut bop));
+        }
+        for bank in [&bank, &observed_bank] {
+            prop_assert_eq!(bank.queues().len(), queues.len());
+            for (i, (a, b)) in queues.iter().zip(bank.queues()).enumerate() {
+                prop_assert!(b.account().lost > 0.0, "buffer {} saw no loss", i);
+                prop_assert_eq!(a.workload().to_bits(), b.workload().to_bits(), "workload {}", i);
+                prop_assert_eq!(
+                    a.account().offered.to_bits(),
+                    b.account().offered.to_bits(),
+                    "offered {}",
+                    i
+                );
+                prop_assert_eq!(a.account().lost.to_bits(), b.account().lost.to_bits(), "lost {}", i);
+            }
+            prop_assert_eq!(infinite.workload().to_bits(), bank.infinite_workload().to_bits());
+        }
+        prop_assert_eq!(expected.buckets(), bop.buckets());
+        prop_assert_eq!(expected.observations(), bop.observations());
+
         let mut observed: Vec<f64> = thresholds
             .windows(2)
             .map(|t| 0.5 * (t[0] + t[1]))
             .chain(thresholds.iter().copied())
             .chain([0.0, -0.0, f64::INFINITY, f64::NAN, -1.0])
             .collect();
-        let mut infinite = FluidQueue::infinite(capacity);
+        let mut scalar = FluidQueue::infinite(capacity);
         for &x in &arrivals {
-            infinite.offer(x);
-            observed.push(infinite.workload());
+            scalar.offer(x);
+            observed.push(scalar.workload());
         }
         let mut est = BopEstimator::new(thresholds.clone());
-        let mut expected = vec![0u64; thresholds.len() + 1];
+        let mut counts = vec![0u64; thresholds.len() + 1];
         for &w in &observed {
             est.observe(w);
-            expected[thresholds.partition_point(|&t| t < w)] += 1;
+            counts[thresholds.partition_point(|&t| t < w)] += 1;
         }
-        prop_assert_eq!(est.buckets(), &expected[..]);
+        prop_assert_eq!(est.buckets(), &counts[..]);
     }
 
     /// A `BufferBank` with BOP equals, bit for bit, one `offer_batch` per
