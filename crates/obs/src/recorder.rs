@@ -38,7 +38,8 @@ pub enum Event {
     ReplicationStart {
         /// Replication index.
         replication: usize,
-        /// Root seed (`root.split(replication)` reproduces the stream).
+        /// Root seed (`root.split(replication)` reproduces the replication;
+        /// its source j draws from `.split(j)` of that stream).
         seed: u64,
     },
     /// A replication finished and entered the estimates.

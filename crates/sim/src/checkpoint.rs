@@ -1,7 +1,8 @@
 //! Deterministic checkpoint/resume for the replication harness.
 //!
-//! Because replication `r` is seeded from the independent stream
-//! `root.split(r)`, a replication's result depends only on `(config, r)` —
+//! Because source j of replication `r` draws from its own independent
+//! stream `root.split(r).split(j)`, a replication's result depends only on
+//! `(config, r)` —
 //! never on which other replications ran, in what order, or on how many
 //! threads. That makes resumption trivially bit-identical: a checkpoint is
 //! just the set of completed replication results, and a resumed run computes
@@ -32,11 +33,12 @@ use std::path::{Path, PathBuf};
 /// Checkpoint format version. v2 added the trailing `checksum` line; v3
 /// kept v2's format but marked results drawn after Gaussian AR(1) sources
 /// began keeping their polar spare deviate; v4 keeps v3's format but marks
-/// results drawn after Gaussian AR(1) moved to ziggurat innovations. Each
-/// bump changed AR(1)'s draw sequence, so results of different versions
-/// are never merged: files of any other version are rejected as a version
-/// mismatch.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// results drawn after Gaussian AR(1) moved to ziggurat innovations; v5
+/// keeps v4's format but marks results drawn after every source of a
+/// replication got its own stream, `root.split(r).split(j)`. Each bump
+/// changed a draw sequence, so results of different versions are never
+/// merged: files of any other version are rejected as a version mismatch.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 const MAGIC: &str = "vbr-sim-checkpoint";
 

@@ -13,7 +13,8 @@ use std::time::Duration;
 /// Where in the pipeline a numeric fault was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Output of one source's `next_frame` (index into the source vector).
+    /// Output of one source (index into the replication's sources, in group
+    /// order; source j draws from `root.split(replication).split(j)`).
     Source(usize),
     /// The aggregate arrival stream after summing all sources.
     Aggregate,
@@ -39,7 +40,8 @@ pub struct NumericFault {
     pub replication: usize,
     /// Frame index within the replication (warmup frames included).
     pub frame: u64,
-    /// Root seed of the run — `root.split(replication)` replays the fault.
+    /// Root seed of the run — `root.split(replication)` replays the fault
+    /// (source j of it draws from `.split(j)` of that stream).
     pub seed: u64,
     /// The offending value.
     pub value: f64,

@@ -6,8 +6,8 @@
 //! indication of where it came from. [`Guard`] checks every value crossing a
 //! stage boundary (source → aggregate → queue) and converts the first bad
 //! one into a [`SimError::NumericFault`] carrying the replication, frame,
-//! seed and pipeline site, so the fault replays deterministically via
-//! `root.split(replication)`.
+//! seed and pipeline site, so the fault replays deterministically: source
+//! j of replication r draws from `root.split(r).split(j)`.
 
 use crate::error::{FaultSite, NumericFault, SimError};
 use std::sync::Arc;
@@ -85,8 +85,15 @@ impl Guard {
         if value.is_finite() && value >= 0.0 {
             Ok(value)
         } else {
-            Err(self.fault_at(offset, value, FaultSite::Source(source)))
+            Err(self.source_fault(offset, source, value))
         }
+    }
+
+    /// The fault for `source`'s invalid `value` `offset` frames into the
+    /// current batch. The runner scans every source's slice with
+    /// [`first_invalid`] and builds only the earliest fault over all of them.
+    pub fn source_fault(&self, offset: u64, source: usize, value: f64) -> SimError {
+        self.fault_at(offset, value, FaultSite::Source(source))
     }
 
     /// Validates a batch of per-frame values produced at `site`, attributing
@@ -98,15 +105,10 @@ impl Guard {
     /// recognised by a branch-free scan over 8 lanes; only a faulty one is
     /// walked value by value to find its first fault.
     pub fn check_batch(&self, values: &[f64], site: FaultSite) -> Result<(), SimError> {
-        if all_valid(values) {
-            return Ok(());
+        match first_invalid(values) {
+            Some(i) => Err(self.fault_at(i as u64, values[i], site)),
+            None => Ok(()),
         }
-        for (i, &v) in values.iter().enumerate() {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(self.fault_at(i as u64, v, site));
-            }
-        }
-        Ok(())
     }
 
     /// Validates queue state (workload and loss account) after an offer.
@@ -129,6 +131,16 @@ impl Guard {
         }
         Ok(())
     }
+}
+
+/// Index of the first value that is not finite and `>= 0`, if any. A clean
+/// slice costs one branch-free lane scan over 8 lanes; only a faulty one
+/// is walked value by value.
+pub fn first_invalid(values: &[f64]) -> Option<usize> {
+    if all_valid(values) {
+        return None;
+    }
+    values.iter().position(|&v| !(v.is_finite() && v >= 0.0))
 }
 
 /// Lanes of [`all_valid`]'s scan: enough independent accumulators to keep

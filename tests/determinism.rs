@@ -72,9 +72,10 @@ fn model_generation_reproducible_through_trait_objects() {
 ///
 /// The "kill" is simulated faithfully: run the first k replications only
 /// (a config with `replications = k` — valid because replication r depends
-/// only on `(config, r)` via `root.split(r)`, and the checkpoint fingerprint
-/// deliberately excludes the replication count), keep the checkpoint it
-/// wrote, then resume with the full config against that file.
+/// only on `(config, r)` via `root.split(r)`, whose `.split(j)` feeds
+/// source j, and the checkpoint fingerprint deliberately excludes the
+/// replication count), keep the checkpoint it wrote, then resume with the
+/// full config against that file.
 #[test]
 fn checkpoint_resume_is_bit_identical() {
     let dir = std::env::temp_dir().join("vbr_determinism_ckpt");
@@ -398,25 +399,174 @@ fn buffer_bank_lane_position_is_invisible_to_results() {
     }
 }
 
+/// What `run_mix` must produce for `groups` under `cfg`, rebuilt without
+/// the runner: source j of replication r is a fresh clone (in group order)
+/// that resets from and draws every frame with `next_frame` from its own
+/// stream `root.split(r).split(j)`; each frame's aggregate is summed in
+/// source order; every buffer is swept by its own `FluidQueue::offer_batch`
+/// with the accounts cleared at the warm-up boundary; and the
+/// infinite-buffer queue takes the warm-up through `offer_batch` and the
+/// measured frames through `offer_batch_observing`.
+struct Oracle {
+    pooled: Vec<vbr_sim::LossAccount>,
+    clrs: Vec<Vec<f64>>,
+    bop: vbr_sim::BopEstimator,
+}
+
+fn per_source_oracle(groups: &[(&dyn FrameProcess, usize)], cfg: &SimConfig) -> Oracle {
+    use vbr_sim::{BopEstimator, FluidQueue, LossAccount};
+    use vbr_stats::rng::Xoshiro256PlusPlus;
+
+    let n_sources: usize = groups.iter().map(|&(_, n)| n).sum();
+    let capacity = n_sources as f64 * cfg.capacity_per_source;
+    let grid = &cfg.buffers_total;
+    let total = cfg.warmup_frames + cfg.frames_per_replication;
+    let root = Xoshiro256PlusPlus::from_seed_u64(cfg.seed);
+    let mut oracle = Oracle {
+        pooled: vec![LossAccount::default(); grid.len()],
+        clrs: vec![Vec::new(); grid.len()],
+        bop: BopEstimator::new(grid.clone()),
+    };
+    for rep in 0..cfg.replications {
+        let rep_rng = root.split(rep as u64);
+        let mut aggregate = vec![0.0; total];
+        let sources = groups
+            .iter()
+            .flat_map(|&(proto, n)| (0..n).map(move |_| proto.boxed_clone()));
+        for (j, mut source) in sources.enumerate() {
+            let mut rng = rep_rng.split(j as u64);
+            source.reset(&mut rng);
+            for a in aggregate.iter_mut() {
+                *a += source.next_frame(&mut rng);
+            }
+        }
+        let (warmup, measured) = aggregate.split_at(cfg.warmup_frames);
+        let mut infinite = FluidQueue::infinite(capacity);
+        infinite.offer_batch(warmup);
+        let mut est = BopEstimator::new(grid.clone());
+        infinite.offer_batch_observing(measured, &mut est);
+        oracle.bop.merge(&est);
+        for (i, &b) in grid.iter().enumerate() {
+            let mut q = FluidQueue::finite(capacity, b);
+            q.offer_batch(warmup);
+            q.clear_accounts();
+            q.offer_batch(measured);
+            oracle.pooled[i].merge(&q.account());
+            oracle.clrs[i].push(q.account().clr());
+        }
+    }
+    oracle
+}
+
+/// Asserts `out` equals `oracle` bit for bit: every buffer's pooled
+/// offered and lost cells, CLR mean and CI half-width, and the BOP curve.
+fn assert_matches_oracle(out: &SimOutcome, oracle: &Oracle, run_at: &str) {
+    use vbr_stats::ConfidenceInterval;
+
+    assert_eq!(out.per_buffer.len(), oracle.pooled.len(), "{run_at}");
+    for (i, b) in out.per_buffer.iter().enumerate() {
+        let at = format!("{run_at} buffer {i}");
+        let expected = &oracle.pooled[i];
+        assert_eq!(b.pooled.offered.to_bits(), expected.offered.to_bits(), "{at}: offered");
+        assert_eq!(b.pooled.lost.to_bits(), expected.lost.to_bits(), "{at}: lost");
+        let ci = ConfidenceInterval::from_samples(&oracle.clrs[i], 0.95);
+        assert_eq!(b.clr.mean.to_bits(), ci.mean.to_bits(), "{at}: CLR mean");
+        assert_eq!(b.clr.half_width.to_bits(), ci.half_width.to_bits(), "{at}: CLR CI");
+    }
+    let survival: Vec<u64> = out
+        .bop
+        .as_ref()
+        .expect("BOP tracked")
+        .iter()
+        .map(|&(_, p)| p.to_bits())
+        .collect();
+    let expected: Vec<u64> = oracle.bop.survival().iter().map(|p| p.to_bits()).collect();
+    assert_eq!(survival, expected, "{run_at}: BOP");
+}
+
+/// The run options every oracle comparison runs under: 1 and 2 threads at
+/// the runner's 4096-frame batches, and 2 threads with a replication
+/// deadline, which cuts the replication into 1024-frame batches.
+fn oracle_run_options() -> Vec<(String, RunOptions)> {
+    use std::time::Duration;
+
+    let deadline = Watchdog {
+        replication_deadline: Some(Duration::from_secs(3600)),
+        ..Watchdog::default()
+    };
+    [(1, Watchdog::default()), (2, Watchdog::default()), (2, deadline)]
+        .into_iter()
+        .map(|(threads, watchdog)| {
+            let batch = if watchdog == deadline { 1024 } else { 4096 };
+            (
+                format!("threads={threads} batch={batch}"),
+                RunOptions {
+                    threads: Some(threads),
+                    watchdog,
+                    ..RunOptions::default()
+                },
+            )
+        })
+        .collect()
+}
+
+/// The stream contract: source j of replication r draws its reset and
+/// every frame from `root.split(r).split(j)`, so `run` and `run_mix` equal
+/// the hand-built [`per_source_oracle`] bit for bit — for N = 30 Gaussian
+/// AR(1) sources and for a two-group mix (Z^0.9 then its DAR(1) fit, so
+/// source indices run across the group boundary), at 1 and 2 threads and at
+/// 4096- and 1024-frame batches. Both loads lose cells at every buffer, so
+/// the comparison covers the loss accounts, not only the offered totals.
+#[test]
+fn runner_is_bit_identical_to_a_per_source_stream_oracle() {
+    let ar1 = GaussianAr1::new(500.0, 5000.0_f64.sqrt(), 0.8);
+    let z = paper::build_z(0.9);
+    let s = paper::build_s(0.9, 1);
+    let cfg = SimConfig {
+        n_sources: 30,
+        capacity_per_source: 520.0,
+        buffers_total: vec![0.0, 150.0, 600.0],
+        frames_per_replication: 5_000,
+        warmup_frames: 300,
+        replications: 3,
+        seed: 0x5EED_50A1,
+        ts: 0.04,
+        track_bop: true,
+    };
+    let ar1_group = [(&ar1 as &dyn FrameProcess, 30)];
+    let mix_groups = [(&z as &dyn FrameProcess, 4), (&s as &dyn FrameProcess, 3)];
+    for (label, groups) in [("30 x AR(1)", &ar1_group[..]), ("4 x Z^0.9 + 3 x DAR(1)", &mix_groups[..])] {
+        let oracle = per_source_oracle(groups, &cfg);
+        assert!(
+            oracle.pooled.iter().all(|a| a.lost > 0.0),
+            "{label}: every buffer must lose"
+        );
+        let mix = SourceMix::new(groups.to_vec()).expect("non-empty mix");
+        for (options_label, options) in oracle_run_options() {
+            let out = run_mix(&mix, &cfg, &options).expect("valid run");
+            assert_matches_oracle(&out, &oracle, &format!("{label} {options_label}"));
+        }
+    }
+    let out = run(&ar1, &cfg, &RunOptions::default()).expect("valid run");
+    assert_matches_oracle(&out, &per_source_oracle(&ar1_group, &cfg), "run of 30 x AR(1)");
+}
+
 /// Runner-level oracle for the buffer bank and the BOP estimator: `run` on
-/// one replayed trace must equal, bit for bit, a test-local loop that fills
-/// the warm-up and the measured frames with `fill_frames`, sweeps every
-/// buffer with its own `offer_batch`, clears the accounts at the warm-up
-/// boundary, and feeds the infinite-buffer queue through `offer_batch` in
-/// the warm-up and `offer_batch_observing` after it. Light load (c above
-/// the mean: the reference lane is mostly 0) and heavy load (c below it:
-/// the reference never empties, and every batch starts inside an
-/// excursion), over a 33-buffer grid from 0 and one from 10 (frames whose
-/// infinite-buffer workload lies in (0, 10] go to the first BOP bucket), at
-/// 1 and 2 threads and with a replication deadline, which runs 1024-frame
-/// batches, so excursions and the warm-up boundary fall inside and across
-/// other batch boundaries.
+/// one replayed trace must equal, bit for bit, [`per_source_oracle`], which
+/// sweeps every buffer with its own `offer_batch`, clears the accounts at
+/// the warm-up boundary, and feeds the infinite-buffer queue through
+/// `offer_batch` in the warm-up and `offer_batch_observing` after it. Light
+/// load (c above the mean: the reference lane is mostly 0) and heavy load
+/// (c below it: the reference never empties, and every batch starts inside
+/// an excursion), over a 33-buffer grid from 0 and one from 10 (frames
+/// whose infinite-buffer workload lies in (0, 10] go to the first BOP
+/// bucket), at 1 and 2 threads and with a replication deadline, which runs
+/// 1024-frame batches, so excursions and the warm-up boundary fall inside
+/// and across other batch boundaries.
 #[test]
 fn runner_bank_and_bop_match_a_per_queue_oracle_at_light_and_heavy_load() {
-    use std::time::Duration;
-    use vbr_sim::{BopEstimator, FluidQueue, LossAccount, TraceProcess, Watchdog};
+    use vbr_sim::TraceProcess;
     use vbr_stats::rng::Xoshiro256PlusPlus;
-    use vbr_stats::ConfidenceInterval;
 
     let mut rng = Xoshiro256PlusPlus::from_seed_u64(0x0AC1E);
     let mut source = GaussianAr1::new(500.0, 70.0, 0.95);
@@ -437,93 +587,20 @@ fn runner_bank_and_bop_match_a_per_queue_oracle_at_light_and_heavy_load() {
             ts: 0.04,
             track_bop: true,
         };
-
-        let root = Xoshiro256PlusPlus::from_seed_u64(cfg.seed);
-        let mut pooled = vec![LossAccount::default(); grid.len()];
-        let mut clrs = vec![Vec::new(); grid.len()];
-        let mut bop = BopEstimator::new(grid.clone());
-        for rep in 0..cfg.replications {
-            let mut rng = root.split(rep as u64);
-            let mut source = trace.clone();
-            source.reset(&mut rng);
-            let mut queues: Vec<FluidQueue> = grid
-                .iter()
-                .map(|&b| FluidQueue::finite(cfg.total_capacity(), b))
-                .collect();
-            let mut infinite = FluidQueue::infinite(cfg.total_capacity());
-            let mut warmup = vec![0.0; cfg.warmup_frames];
-            source.fill_frames(&mut warmup, &mut rng);
-            for q in queues.iter_mut() {
-                q.offer_batch(&warmup);
-                q.clear_accounts();
-            }
-            infinite.offer_batch(&warmup);
-            let mut measured = vec![0.0; cfg.frames_per_replication];
-            source.fill_frames(&mut measured, &mut rng);
-            let mut est = BopEstimator::new(grid.clone());
-            infinite.offer_batch_observing(&measured, &mut est);
-            bop.merge(&est);
-            for (i, q) in queues.iter_mut().enumerate() {
-                q.offer_batch(&measured);
-                pooled[i].merge(&q.account());
-                clrs[i].push(q.account().clr());
-            }
-        }
+        let oracle = per_source_oracle(&[(&trace, 1)], &cfg);
         assert!(
-            pooled[0].lost > 0.0,
+            oracle.pooled[0].lost > 0.0,
             "start={start} c={capacity}: the first buffer must lose"
         );
         if capacity < 500.0 {
             assert!(
-                pooled[32].lost > 0.0,
+                oracle.pooled[32].lost > 0.0,
                 "start={start} c={capacity}: heavy load loses at every buffer"
             );
         }
-
-        let deadline = Watchdog {
-            replication_deadline: Some(Duration::from_secs(3600)),
-            ..Watchdog::default()
-        };
-        for (threads, watchdog) in [
-            (1, Watchdog::default()),
-            (2, Watchdog::default()),
-            (2, deadline),
-        ] {
-            let options = RunOptions {
-                threads: Some(threads),
-                watchdog,
-                ..RunOptions::default()
-            };
+        for (options_label, options) in oracle_run_options() {
             let out = run(&trace, &cfg, &options).expect("trace run");
-            let run_at = format!("start={start} c={capacity} threads={threads} {watchdog:?}");
-            for (i, b) in out.per_buffer.iter().enumerate() {
-                let at = format!("{run_at} buffer {i}");
-                assert_eq!(
-                    b.pooled.offered.to_bits(),
-                    pooled[i].offered.to_bits(),
-                    "{at}: offered"
-                );
-                assert_eq!(
-                    b.pooled.lost.to_bits(),
-                    pooled[i].lost.to_bits(),
-                    "{at}: lost"
-                );
-                let ci = ConfidenceInterval::from_samples(&clrs[i], 0.95);
-                assert_eq!(b.clr.mean.to_bits(), ci.mean.to_bits(), "{at}: CLR mean");
-                assert_eq!(
-                    b.clr.half_width.to_bits(),
-                    ci.half_width.to_bits(),
-                    "{at}: CLR CI"
-                );
-            }
-            let survival: Vec<u64> = out
-                .bop
-                .expect("BOP tracked")
-                .iter()
-                .map(|&(_, p)| p.to_bits())
-                .collect();
-            let expected: Vec<u64> = bop.survival().iter().map(|p| p.to_bits()).collect();
-            assert_eq!(survival, expected, "{run_at}: BOP");
+            assert_matches_oracle(&out, &oracle, &format!("start={start} c={capacity} {options_label}"));
         }
     }
 }

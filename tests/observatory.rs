@@ -131,8 +131,8 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 fn worker_streams_are_stamped_with_ts_and_shard() {
     let dir = temp_dir("stamps");
     // 1 ms heartbeats so even an optimised build, whose replications of
-    // 20000 frames finish in a few milliseconds, emits several per shard.
-    let out = campaign_cmd(&dir, "20000", "1").output().expect("run campaign");
+    // 400000 frames finish in ~25 ms, emits several per shard.
+    let out = campaign_cmd(&dir, "400000", "1").output().expect("run campaign");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     for shard in 0..2usize {
@@ -216,7 +216,7 @@ fn serve_answers_a_live_scrape() {
     // Enough frames that the campaign is still running when the scrape
     // lands, also in an optimised build (the endpoint stays up for the
     // whole run either way).
-    let mut child = campaign_cmd(&dir, "1000000", "100")
+    let mut child = campaign_cmd(&dir, "10000000", "100")
         .arg("--serve")
         .arg(&addr)
         .spawn()
