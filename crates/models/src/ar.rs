@@ -3,9 +3,12 @@
 //! AR(1) grows like `b/(c−μ)`).
 //!
 //! `X_n = μ + φ(X_{n−1} − μ) + √(1−φ²)·σ·ε_n`, `ε ~ N(0,1)`, started in the
-//! stationary distribution `N(μ, σ²)`; ACF is exactly `φᵏ`. The innovations
-//! come from the ziggurat sampler [`ziggurat_standard_normal`], one deviate
-//! per frame, with no sampler state carried between frames.
+//! stationary distribution `N(μ, σ²)`; ACF is exactly `φᵏ`. The process
+//! carries its deviation from the mean as state, `d_n = φ·d_{n−1} +
+//! √(1−φ²)·σ·ε_n` with `d_0 = σ·ε_0`, and emits `X_n = μ + d_n`, so the
+//! chain one frame waits on is a multiply and an add. The innovations come
+//! from the ziggurat sampler [`ziggurat_standard_normal`], one deviate per
+//! frame, with no sampler state carried between frames.
 
 use crate::error::ModelError;
 use crate::traits::FrameProcess;
@@ -15,8 +18,9 @@ use vbr_stats::dist::ziggurat_standard_normal;
 /// Gaussian AR(1) frame-size process.
 ///
 /// Every frame draws one ziggurat innovation (~1.02 `u64`s) from the stream
-/// it is given, in frame order; `fill_frames` draws the same sequence as
-/// `next_frame` for any chunking of the batch.
+/// it is given, in frame order, and advances the deviation from the mean,
+/// `d ← φ·d + √(1−φ²)·σ·ε`; the frame is `μ + d`. `fill_frames` draws the
+/// same sequence as `next_frame` for any chunking of the batch.
 #[derive(Debug, Clone)]
 pub struct GaussianAr1 {
     mean: f64,
@@ -24,7 +28,8 @@ pub struct GaussianAr1 {
     phi: f64,
     /// `√(1−φ²)·σ`, the innovation standard deviation.
     innovation_sd: f64,
-    state: f64,
+    /// Deviation of the last frame from the mean.
+    deviation: f64,
     initialized: bool,
 }
 
@@ -59,7 +64,7 @@ impl GaussianAr1 {
             sd,
             phi,
             innovation_sd: sd * (1.0 - phi * phi).sqrt(),
-            state: 0.0,
+            deviation: 0.0,
             initialized: false,
         })
     }
@@ -73,16 +78,16 @@ impl GaussianAr1 {
 impl FrameProcess for GaussianAr1 {
     fn next_frame(&mut self, rng: &mut dyn RngCore) -> f64 {
         let z = ziggurat_standard_normal(rng);
-        self.state = if self.initialized {
-            self.mean + self.phi * (self.state - self.mean) + self.innovation_sd * z
+        self.deviation = if self.initialized {
+            self.phi * self.deviation + self.innovation_sd * z
         } else {
             self.initialized = true;
-            self.mean + self.sd * z
+            self.sd * z
         };
-        self.state
+        self.mean + self.deviation
     }
 
-    /// Runs the recursion over the batch with the state in a register,
+    /// Runs the recursion over the batch with the deviation in a register,
     /// drawing each innovation as [`next_frame`](Self::next_frame) does, so
     /// the output is bit-identical to it for any chunking of the batch.
     fn fill_frames(&mut self, out: &mut [f64], rng: &mut dyn RngCore) {
@@ -91,12 +96,12 @@ impl FrameProcess for GaussianAr1 {
         };
         *first = self.next_frame(rng);
         let (mean, phi, innovation_sd) = (self.mean, self.phi, self.innovation_sd);
-        let mut state = self.state;
+        let mut deviation = self.deviation;
         for slot in rest.iter_mut() {
-            state = mean + phi * (state - mean) + innovation_sd * ziggurat_standard_normal(rng);
-            *slot = state;
+            deviation = phi * deviation + innovation_sd * ziggurat_standard_normal(rng);
+            *slot = mean + deviation;
         }
-        self.state = state;
+        self.deviation = deviation;
     }
 
     fn mean(&self) -> f64 {

@@ -94,7 +94,9 @@ pub struct CampaignOptions {
     /// declared hung and killed. Workers should emit heartbeats at a small
     /// fraction of this interval.
     pub heartbeat_timeout: Duration,
-    /// Supervisor poll cadence.
+    /// Longest supervisor sleep between passes. The supervisor wakes
+    /// sooner when a running shard's reported progress predicts its exit
+    /// (see `next_wait`).
     pub poll_interval: Duration,
     /// Campaign-level telemetry sink (worker lifecycle + terminal events).
     pub recorder: Option<Arc<dyn Recorder>>,
@@ -202,6 +204,9 @@ struct ShardCtx {
     tail: Tailer,
     last_size: u64,
     last_progress: Instant,
+    /// Replications the running attempt has left, from its latest
+    /// `progress` event; `None` until it reports one.
+    remaining: Option<usize>,
     restarts: usize,
     stalls: usize,
     fallbacks: usize,
@@ -209,8 +214,9 @@ struct ShardCtx {
 
 impl ShardCtx {
     /// Reads the shard's new event lines: any growth of the stream is a
-    /// liveness beat, and `replication_end` and `checkpoint_fallback`
-    /// events feed the campaign accumulators.
+    /// liveness beat, `progress` events say how much of the shard is left,
+    /// and `replication_end` and `checkpoint_fallback` events feed the
+    /// campaign accumulators.
     fn drain_events(&mut self, rep_durations: &mut P2Summary) {
         let polled = self.tail.poll();
         if polled.size != self.last_size {
@@ -222,6 +228,10 @@ impl ShardCtx {
                 Ok(Event::ReplicationEnd { duration_ns, .. }) => {
                     rep_durations.observe(duration_ns as f64 / 1e9);
                 }
+                Ok(Event::Progress {
+                    completed,
+                    requested,
+                }) => self.remaining = Some(requested.saturating_sub(completed)),
                 Ok(Event::CheckpointFallback { .. }) => self.fallbacks += 1,
                 _ => {}
             }
@@ -273,6 +283,7 @@ pub fn run_campaign(
                 tail,
                 last_size: 0,
                 last_progress: Instant::now(),
+                remaining: None,
                 restarts: 0,
                 stalls: 0,
                 fallbacks: 0,
@@ -318,6 +329,9 @@ pub fn run_campaign(
                                 pid: child.id(),
                             });
                             shard.last_progress = Instant::now();
+                            // A new attempt has reported nothing yet; a stale
+                            // count from a dead one would mispredict its exit.
+                            shard.remaining = None;
                             shard.state = ShardState::Running { child };
                         }
                         Err(_) => {
@@ -378,7 +392,15 @@ pub fn run_campaign(
         {
             break;
         }
-        std::thread::sleep(options.poll_interval);
+        let running_remaining = shards.iter().filter_map(|s| match s.state {
+            ShardState::Running { .. } => s.remaining,
+            _ => None,
+        });
+        std::thread::sleep(next_wait(
+            options.poll_interval,
+            rep_durations.snapshot().estimate(0.5),
+            running_remaining,
+        ));
     }
 
     // Merge: union every shard's checkpointed replications, then assemble
@@ -446,6 +468,35 @@ pub fn run_campaign(
             wall: t0.elapsed(),
         },
     })
+}
+
+/// Shortest sleep of the supervisor: its wait once a running shard has no
+/// replication left and is only writing its last events and exiting.
+const EXIT_POLL: Duration = Duration::from_millis(1);
+
+/// How long the supervisor sleeps before its next pass: until the earliest
+/// predicted exit of a running shard, but never longer than `poll`.
+///
+/// `remaining` holds, per running shard that has reported progress, the
+/// replications it has left; `rep_s` is the typical replication time in
+/// seconds. A shard's exit is predicted at `remaining × rep_s` from now, and
+/// a shard with nothing left is waited on at [`EXIT_POLL`]. Without a report
+/// or an estimate the wait is `poll`. A prediction that comes true early
+/// costs only another pass; one that comes late is cut off by `poll`.
+pub(crate) fn next_wait(
+    poll: Duration,
+    rep_s: Option<f64>,
+    remaining: impl IntoIterator<Item = usize>,
+) -> Duration {
+    remaining
+        .into_iter()
+        .filter_map(|left| match left {
+            0 => Some(Duration::ZERO),
+            _ => Duration::try_from_secs_f64(rep_s? * left as f64).ok(),
+        })
+        .fold(poll, Duration::min)
+        .max(EXIT_POLL)
+        .min(poll)
 }
 
 /// Post-exit adjudication: complete checkpoint ⇒ done; otherwise a failure
@@ -602,6 +653,53 @@ mod tests {
         let body = std::fs::read_to_string(&path).expect("read");
         assert!(body.ends_with("{\"part\":3}\n"), "{body:?}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn next_wait_stays_between_the_floor_and_the_poll() {
+        let poll = Duration::from_millis(250);
+        for rep_s in [
+            None,
+            Some(0.0),
+            Some(1e-6),
+            Some(0.0075),
+            Some(10.0),
+            Some(f64::NAN),
+        ] {
+            for remaining in [vec![], vec![0], vec![1], vec![3, 40], vec![256, 0, 7]] {
+                let wait = next_wait(poll, rep_s, remaining.clone());
+                assert!(
+                    (EXIT_POLL..=poll).contains(&wait),
+                    "{wait:?} for {rep_s:?} and {remaining:?}"
+                );
+            }
+        }
+        // A poll shorter than the floor is never lengthened.
+        let short = Duration::from_micros(200);
+        assert_eq!(next_wait(short, Some(0.0075), [0, 2]), short);
+    }
+
+    #[test]
+    fn next_wait_polls_until_a_running_shard_reports() {
+        let poll = Duration::from_millis(250);
+        assert_eq!(next_wait(poll, None, []), poll);
+        assert_eq!(next_wait(poll, Some(0.0075), []), poll);
+        // Reports without a replication time to scale them wait a poll.
+        assert_eq!(next_wait(poll, None, [5]), poll);
+    }
+
+    #[test]
+    fn next_wait_wakes_at_the_earliest_predicted_exit() {
+        let poll = Duration::from_millis(250);
+        // 256 left at 7.5 ms each is far beyond one poll.
+        assert_eq!(next_wait(poll, Some(0.0075), [256]), poll);
+        // The earliest of several running shards sets the wake-up.
+        let wait = next_wait(poll, Some(0.0075), [40, 4]);
+        assert_eq!(wait, Duration::from_secs_f64(0.0075 * 4.0));
+        // A shard with nothing left is waited on at the floor, estimate or
+        // not.
+        assert_eq!(next_wait(poll, Some(0.0075), [12, 0]), EXIT_POLL);
+        assert_eq!(next_wait(poll, None, [0]), EXIT_POLL);
     }
 
     #[test]

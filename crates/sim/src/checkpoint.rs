@@ -35,22 +35,32 @@ use std::path::{Path, PathBuf};
 /// began keeping their polar spare deviate; v4 keeps v3's format but marks
 /// results drawn after Gaussian AR(1) moved to ziggurat innovations; v5
 /// keeps v4's format but marks results drawn after every source of a
-/// replication got its own stream, `root.split(r).split(j)`. Each bump
-/// changed a draw sequence, so results of different versions are never
-/// merged: files of any other version are rejected as a version mismatch.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// replication got its own stream, `root.split(r).split(j)`; v6 keeps v5's
+/// format but marks results drawn after Gaussian AR(1) started carrying its
+/// deviation from the mean, which rounds differently. Each bump changed a
+/// draw sequence or its arithmetic, so results of different versions are
+/// never merged: files of any other version are rejected as a version
+/// mismatch.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 const MAGIC: &str = "vbr-sim-checkpoint";
 
-/// FNV-1a over a byte slice — the same hash the config fingerprint uses,
-/// reused for the whole-file content checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the hash state before any byte.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash from state `h` over `bytes` — the same hash the
+/// config fingerprint uses, reused for the whole-file content checksum.
+/// Hashing a text in pieces gives the hash of the whole.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_BASIS, bytes)
 }
 
 /// Path of the rotated previous checkpoint (`<file>.prev` sibling).
@@ -84,7 +94,7 @@ impl CheckpointPolicy {
 /// affects simulation output. Two configs with equal fingerprints produce
 /// interchangeable replication results.
 pub fn config_fingerprint(config: &SimConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h: u64 = FNV_BASIS;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
             h ^= u64::from(b);
@@ -124,54 +134,151 @@ fn parse_err(path: &Path, line: usize, message: impl Into<String>) -> SimError {
     )
 }
 
-/// Serializes the completed replication set to the checkpoint text format.
-pub(crate) fn render(config: &SimConfig, results: &BTreeMap<usize, RepResult>) -> String {
-    let mut out = String::new();
+/// Writes the four header lines: magic and version, fingerprint, buffer
+/// count and BOP flag.
+fn render_header(out: &mut String, config: &SimConfig, fingerprint: u64) {
     let _ = writeln!(out, "{MAGIC} v{CHECKPOINT_VERSION}");
-    let _ = writeln!(out, "fingerprint {:016x}", config_fingerprint(config));
+    let _ = writeln!(out, "fingerprint {fingerprint:016x}");
     let _ = writeln!(out, "buffers {}", config.buffers_total.len());
     let _ = writeln!(out, "track_bop {}", u8::from(config.track_bop));
-    for (&rep, result) in results {
-        let _ = write!(out, "rep {rep} accounts");
-        for a in &result.accounts {
-            let _ = write!(out, " {:016x} {:016x}", a.offered.to_bits(), a.lost.to_bits());
+}
+
+/// Writes one replication's record: its `rep` line and, with BOP tracking,
+/// its `bop` line.
+fn render_record(out: &mut String, rep: usize, result: &RepResult) {
+    let _ = write!(out, "rep {rep} accounts");
+    for a in &result.accounts {
+        let _ = write!(out, " {:016x} {:016x}", a.offered.to_bits(), a.lost.to_bits());
+    }
+    let _ = writeln!(out);
+    if let Some(bop) = &result.bop {
+        let _ = write!(out, "bop {}", bop.observations());
+        for &b in bop.buckets() {
+            let _ = write!(out, " {b}");
         }
         let _ = writeln!(out);
-        if let Some(bop) = &result.bop {
-            let _ = write!(out, "bop {}", bop.observations());
-            for &b in bop.buckets() {
-                let _ = write!(out, " {b}");
-            }
-            let _ = writeln!(out);
-        }
     }
-    let _ = writeln!(out, "end {}", results.len());
-    // Content checksum over every byte above, so corruption that happens to
-    // keep lines parseable (bit flips inside a hex payload) is still caught.
-    let sum = fnv1a(out.as_bytes());
+}
+
+/// Writes the `end` and `checksum` lines after a body whose FNV-1a state is
+/// `hash`: the checksum covers every byte before its own line, so
+/// corruption that happens to keep lines parseable (bit flips inside a hex
+/// payload) is still caught.
+fn render_trailer(out: &mut String, hash: u64, records: usize) {
+    let from = out.len();
+    let _ = writeln!(out, "end {records}");
+    let sum = fnv1a_from(hash, &out.as_bytes()[from..]);
     let _ = writeln!(out, "checksum {sum:016x}");
+}
+
+/// Serializes the completed replication set to the checkpoint text format
+/// in one pass: the reference the incremental [`CheckpointLog`] must match
+/// byte for byte.
+#[cfg(test)]
+pub(crate) fn render(config: &SimConfig, results: &BTreeMap<usize, RepResult>) -> String {
+    let mut out = String::new();
+    render_header(&mut out, config, config_fingerprint(config));
+    for (&rep, result) in results {
+        render_record(&mut out, rep, result);
+    }
+    let hash = fnv1a(out.as_bytes());
+    render_trailer(&mut out, hash, results.len());
     out
 }
 
-/// Atomically writes the checkpoint file for the given completed set.
+/// A checkpoint file kept rendered as replications complete, so a save
+/// costs one new record and a file write rather than a re-render of the
+/// whole completed set.
+///
+/// `body` holds the header and every record in replication order: the file
+/// up to its `end` line. Each record is rendered once, when it is inserted,
+/// and the FNV-1a state of the content checksum is kept after every record.
+/// A record that lands after all others (the common case) is the only text
+/// hashed; one that lands out of order (another thread finished a later
+/// replication first) re-hashes from its own position on. [`save`] adds the
+/// `end` and `checksum` lines, so the file is byte for byte what a one-pass
+/// render of the same set writes.
+pub(crate) struct CheckpointLog {
+    fingerprint: u64,
+    body: String,
+    header_len: usize,
+    header_hash: u64,
+    /// Per record in replication order: replication index, end offset of
+    /// the record in `body`, and the hash state after it.
+    records: Vec<(usize, usize, u64)>,
+}
+
+impl CheckpointLog {
+    /// A log holding `results`, typically what a resumed run loaded.
+    pub(crate) fn new(config: &SimConfig, results: &BTreeMap<usize, RepResult>) -> Self {
+        let fingerprint = config_fingerprint(config);
+        let mut body = String::new();
+        render_header(&mut body, config, fingerprint);
+        let mut log = Self {
+            fingerprint,
+            header_len: body.len(),
+            header_hash: fnv1a(body.as_bytes()),
+            body,
+            records: Vec::with_capacity(results.len()),
+        };
+        for (&rep, result) in results {
+            log.insert(rep, result);
+        }
+        log
+    }
+
+    /// Renders the record of replication `rep`, which the log must not hold
+    /// yet, into its place. Returns the number of body bytes hashed: the new
+    /// record's length when it lands after every other.
+    pub(crate) fn insert(&mut self, rep: usize, result: &RepResult) -> usize {
+        let at = self.records.partition_point(|&(r, _, _)| r < rep);
+        debug_assert!(self.records.get(at).is_none_or(|&(r, _, _)| r != rep));
+        let (start, mut hash) = match at.checked_sub(1) {
+            None => (self.header_len, self.header_hash),
+            Some(before) => {
+                let (_, end, hash) = self.records[before];
+                (end, hash)
+            }
+        };
+        let mut record = String::new();
+        render_record(&mut record, rep, result);
+        self.body.insert_str(start, &record);
+        self.records.insert(at, (rep, start, 0));
+        let mut from = start;
+        for entry in &mut self.records[at..] {
+            entry.1 += record.len();
+            hash = fnv1a_from(hash, &self.body.as_bytes()[from..entry.1]);
+            entry.2 = hash;
+            from = entry.1;
+        }
+        from - start
+    }
+}
+
+/// Atomically writes the checkpoint file for the completed set `log` holds.
 /// Returns the config fingerprint the file was stamped with, so callers
 /// (telemetry events) can report it without recomputing.
-pub(crate) fn save(
-    policy: &CheckpointPolicy,
-    config: &SimConfig,
-    results: &BTreeMap<usize, RepResult>,
-) -> Result<u64, SimError> {
-    let body = render(config, results);
+pub(crate) fn save(policy: &CheckpointPolicy, log: &mut CheckpointLog) -> Result<u64, SimError> {
+    // The trailer goes on the end of the rendered body for the one write
+    // and comes off again, so the body is never copied.
+    let body_len = log.body.len();
+    let hash = log.records.last().map_or(log.header_hash, |&(_, _, h)| h);
+    render_trailer(&mut log.body, hash, log.records.len());
     let tmp = policy.path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, body)
-        .map_err(|e| SimError::io(format!("writing checkpoint {}", tmp.display()), e))?;
+    let written = std::fs::write(&tmp, &log.body);
+    log.body.truncate(body_len);
+    written.map_err(|e| SimError::io(format!("writing checkpoint {}", tmp.display()), e))?;
     // Rotate the current good checkpoint to its `.prev` sibling so a later
     // corrupt primary can fall back to it. Absence is fine (first save).
-    if policy.path.exists() {
-        let prev = prev_path(&policy.path);
-        std::fs::rename(&policy.path, &prev).map_err(|e| {
-            SimError::io(format!("rotating checkpoint to {}", prev.display()), e)
-        })?;
+    let prev = prev_path(&policy.path);
+    match std::fs::rename(&policy.path, &prev) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            return Err(SimError::io(
+                format!("rotating checkpoint to {}", prev.display()),
+                e,
+            ))
+        }
+        _ => {}
     }
     std::fs::rename(&tmp, &policy.path).map_err(|e| {
         SimError::io(
@@ -179,7 +286,7 @@ pub(crate) fn save(
             e,
         )
     })?;
-    Ok(config_fingerprint(config))
+    Ok(log.fingerprint)
 }
 
 /// Parses a checkpoint body; `path` is used only for error context.
@@ -504,5 +611,168 @@ pub(crate) fn load_with_fallback(
             ))
         }
         Err(e) => Err(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
+    use vbr_stats::rng::Xoshiro256PlusPlus;
+
+    fn config(buffers: usize, track_bop: bool) -> SimConfig {
+        SimConfig {
+            n_sources: 3,
+            capacity_per_source: 120.0,
+            buffers_total: (0..buffers).map(|b| 50.0 * b as f64).collect(),
+            frames_per_replication: 100,
+            warmup_frames: 10,
+            replications: 64,
+            seed: 11,
+            ts: 0.04,
+            track_bop,
+        }
+    }
+
+    /// A result with arbitrary account bits and, with BOP tracking, random
+    /// bucket counts.
+    fn result(config: &SimConfig, rng: &mut Xoshiro256PlusPlus) -> RepResult {
+        let accounts = config
+            .buffers_total
+            .iter()
+            .map(|_| LossAccount {
+                offered: rng.next_f64() * 1e6,
+                lost: rng.next_f64(),
+            })
+            .collect();
+        let bop = config.track_bop.then(|| {
+            let buckets: Vec<u64> = (0..=config.buffers_total.len())
+                .map(|_| rng.next_u64() % 1000)
+                .collect();
+            let total = buckets.iter().sum();
+            BopEstimator::from_raw(config.buffers_total.clone(), buckets, total)
+        });
+        RepResult::from_accounts(accounts, bop)
+    }
+
+    fn shuffle(reps: &mut [usize], rng: &mut Xoshiro256PlusPlus) {
+        for i in (1..reps.len()).rev() {
+            reps.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+    }
+
+    /// The bytes `save` writes for `log`.
+    fn saved(log: &mut CheckpointLog, path: &Path) -> String {
+        save(&CheckpointPolicy::new(path), log).expect("save");
+        std::fs::read_to_string(path).expect("read")
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever order replications complete in, the log's file is the
+        /// one-pass render of the completed set, after every insertion.
+        #[test]
+        fn log_matches_render_in_any_completion_order(
+            seed in 0u64..u64::MAX,
+            n in 1usize..40,
+            first in 0usize..1000,
+            buffers in 1usize..5,
+            track_bop in 0u8..2,
+        ) {
+            let config = config(buffers, track_bop == 1);
+            let mut rng = Xoshiro256PlusPlus::from_seed_u64(seed);
+            let mut order: Vec<usize> = (first..first + n).collect();
+            shuffle(&mut order, &mut rng);
+            let dir = temp_dir(&format!("vbr_ckpt_log_prop_{seed:x}"));
+            let path = dir.join("p.ckpt");
+            let mut log = CheckpointLog::new(&config, &BTreeMap::new());
+            let mut completed = BTreeMap::new();
+            for rep in order {
+                let r = result(&config, &mut rng);
+                log.insert(rep, &r);
+                completed.insert(rep, r);
+                prop_assert_eq!(saved(&mut log, &path), render(&config, &completed));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn in_order_insert_renders_and_hashes_one_record() {
+        for track_bop in [false, true] {
+            let config = config(3, track_bop);
+            let mut rng = Xoshiro256PlusPlus::from_seed_u64(5);
+            let mut log = CheckpointLog::new(&config, &BTreeMap::new());
+            for rep in 0..20 {
+                let r = result(&config, &mut rng);
+                let mut record = String::new();
+                render_record(&mut record, rep, &r);
+                let before = log.body.len();
+                let hashed = log.insert(rep, &r);
+                assert_eq!(log.body.len() - before, record.len(), "one record rendered");
+                assert_eq!(&log.body[before..], record, "appended at the end");
+                assert_eq!(hashed, record.len(), "only the new record hashed");
+            }
+        }
+    }
+
+    /// A log rebuilt from a loaded checkpoint (the resume path), including
+    /// one recovered from the rotated `.prev` file, carries on to the same
+    /// bytes as a one-pass render.
+    #[test]
+    fn log_resumed_from_disk_matches_render() {
+        let config = config(2, true);
+        let mut rng = Xoshiro256PlusPlus::from_seed_u64(9);
+        let all: BTreeMap<usize, RepResult> =
+            (0..12).map(|r| (r, result(&config, &mut rng))).collect();
+        let dir = temp_dir("vbr_ckpt_log_resume");
+        let path = dir.join("r.ckpt");
+        let finish = |loaded: &BTreeMap<usize, RepResult>, rng: &mut Xoshiro256PlusPlus| {
+            let mut log = CheckpointLog::new(&config, loaded);
+            let mut rest: Vec<usize> = all
+                .keys()
+                .copied()
+                .filter(|r| !loaded.contains_key(r))
+                .collect();
+            shuffle(&mut rest, rng);
+            for rep in rest {
+                log.insert(rep, &all[&rep]);
+            }
+            saved(&mut log, &dir.join("out.ckpt"))
+        };
+
+        // Two saves, so the first survives as `.prev`.
+        let mut log = CheckpointLog::new(&config, &BTreeMap::new());
+        for rep in [3, 0, 4, 1, 2] {
+            log.insert(rep, &all[&rep]);
+        }
+        saved(&mut log, &path);
+        for rep in [7, 5, 6] {
+            log.insert(rep, &all[&rep]);
+        }
+        saved(&mut log, &path);
+
+        let (loaded, fallback) = load_with_fallback(&path, &config).expect("load");
+        assert!(fallback.is_none());
+        assert_eq!(loaded.len(), 8);
+        assert_eq!(finish(&loaded, &mut rng), render(&config, &all));
+
+        // A corrupt primary degrades to the five-record `.prev`.
+        let text = std::fs::read_to_string(&path).expect("read");
+        std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
+        let (loaded, fallback) = load_with_fallback(&path, &config).expect("load");
+        assert!(fallback.expect("fell back").recovered);
+        assert_eq!(loaded.len(), 5);
+        assert_eq!(finish(&loaded, &mut rng), render(&config, &all));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,7 +25,7 @@
 //!   budget returns the replications it finished, with the shortfall
 //!   recorded in [`Provenance`] instead of being silently absorbed.
 
-use crate::checkpoint::{self, CheckpointPolicy};
+use crate::checkpoint::{self, CheckpointLog, CheckpointPolicy};
 use crate::error::SimError;
 use crate::fault;
 use crate::guard::Guard;
@@ -616,9 +616,12 @@ fn fill_aggregate_batch(
 }
 
 /// Shared mutable state of a run: completed results plus checkpoint
-/// bookkeeping (new completions since the last persisted write).
+/// bookkeeping (the rendered checkpoint, and new completions since the last
+/// persisted write).
 struct RunState {
     completed: BTreeMap<usize, RepResult>,
+    /// The checkpoint file kept rendered, with a checkpoint policy.
+    log: Option<CheckpointLog>,
     unsaved: usize,
 }
 
@@ -655,7 +658,11 @@ fn absorb(
                     clr_b0: a0.clr(),
                 });
             }
-            let mut state = state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
+            let state = &mut *guard;
+            if let Some(log) = &mut state.log {
+                log.insert(rep, &result);
+            }
             state.completed.insert(rep, result);
             state.unsaved += 1;
             if let Some(o) = obs {
@@ -664,9 +671,9 @@ fn absorb(
                     requested: options.range(config).len(),
                 });
             }
-            if let Some(policy) = &options.checkpoint {
+            if let (Some(policy), Some(log)) = (&options.checkpoint, &mut state.log) {
                 if state.unsaved >= policy.every.max(1) {
-                    let fingerprint = checkpoint::save(policy, config, &state.completed)?;
+                    let fingerprint = checkpoint::save(policy, log)?;
                     state.unsaved = 0;
                     if let Some(o) = obs {
                         o.metrics.checkpoint_saves.add(1);
@@ -795,6 +802,10 @@ pub fn run_mix(
     let remaining: Vec<usize> = range.clone().filter(|r| !resumed.contains_key(r)).collect();
 
     let state = Mutex::new(RunState {
+        log: options
+            .checkpoint
+            .as_ref()
+            .map(|_| CheckpointLog::new(config, &resumed)),
         completed: resumed,
         unsaved: 0,
     });
@@ -908,7 +919,7 @@ pub fn run_mix(
 fn finish(
     config: &SimConfig,
     options: &RunOptions,
-    state: RunState,
+    mut state: RunState,
     timed_out: &AtomicUsize,
     budget_hit: &AtomicBool,
     resumed: usize,
@@ -924,8 +935,8 @@ fn finish(
         });
     }
     if state.unsaved > 0 {
-        if let Some(policy) = &options.checkpoint {
-            let fingerprint = checkpoint::save(policy, config, &state.completed)?;
+        if let (Some(policy), Some(log)) = (&options.checkpoint, &mut state.log) {
+            let fingerprint = checkpoint::save(policy, log)?;
             if let Some(o) = &obs {
                 o.metrics.checkpoint_saves.add(1);
                 o.emit(Event::CheckpointSaved {

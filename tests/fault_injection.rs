@@ -389,10 +389,11 @@ fn corrupt_bop_histogram_in_checkpoint_is_a_parse_error_not_a_panic() {
 
     // Older headers are no longer read: v1 (the checksum-less format), v2
     // (Gaussian AR(1) sources drew a fresh polar pair every frame), v3
-    // (AR(1) kept its polar spare) and v4 (all sources of a replication
-    // shared one stream); v2 to v4 have the current format.
+    // (AR(1) kept its polar spare), v4 (all sources of a replication
+    // shared one stream) and v5 (AR(1) carried the frame, not its deviation
+    // from the mean); v2 to v5 have the current format.
     let current = std::fs::read_to_string(&path).expect("read rewritten checkpoint");
-    for old in [1u32, 2, 3, 4] {
+    for old in [1u32, 2, 3, 4, 5] {
         let body = current.replacen(
             &format!("vbr-sim-checkpoint v{CHECKPOINT_VERSION}"),
             &format!("vbr-sim-checkpoint v{old}"),
@@ -401,7 +402,7 @@ fn corrupt_bop_histogram_in_checkpoint_is_a_parse_error_not_a_panic() {
         std::fs::write(&path, body).expect("write old header");
         match verify_checkpoint(&path, &cfg) {
             Err(SimError::Checkpoint {
-                kind: CheckpointErrorKind::VersionMismatch { found, expected: 5 },
+                kind: CheckpointErrorKind::VersionMismatch { found, expected: 6 },
                 ..
             }) => assert_eq!(found, old),
             other => panic!("v{old}: expected VersionMismatch, got {other:?}"),
