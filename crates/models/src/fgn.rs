@@ -41,26 +41,21 @@ fn exact_lrd_autocov(g: f64, two_h: f64, k: usize) -> f64 {
     g * 0.5 * ((kf + 1.0).powf(two_h) - 2.0 * kf.powf(two_h) + (kf - 1.0).powf(two_h))
 }
 
-/// Process-wide cache of circulant spectra, keyed by
-/// `(family, param_a_bits, param_b_bits, block_len)`. Family 0 is FGN
-/// `(H, g)`, family 1 is F-ARIMA `(d, 0)`; see [`cached_circulant`].
-type SpectrumKey = (u8, u64, u64, usize);
+/// Process-wide cache of circulant spectra, keyed by FGN's
+/// `(H bits, g bits, block_len)`; see [`cached_circulant`].
+type SpectrumKey = (u64, u64, usize);
 
 fn spectrum_cache() -> &'static Mutex<HashMap<SpectrumKey, Arc<Vec<f64>>>> {
     static CACHE: OnceLock<Mutex<HashMap<SpectrumKey, Arc<Vec<f64>>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Spectrum-cache family tag for FGN `(H, g, block_len)` keys.
-pub(crate) const FAMILY_FGN: u8 = 0;
-/// Spectrum-cache family tag for F-ARIMA `(d, block_len)` keys.
-pub(crate) const FAMILY_FARIMA: u8 = 1;
-
 /// Returns a [`CirculantGenerator`] for `key`, building the spectrum with
-/// `build` only on a cache miss. Constructors funnel through here so that
-/// `boxed_clone`-per-source-per-replication stops redoing the O(n log n)
-/// embedding FFT; clones of the returned generator share the spectrum `Arc`.
-pub(crate) fn cached_circulant<F>(key: SpectrumKey, build: F) -> CirculantGenerator
+/// `build` only on a cache miss. [`FgnGenerator::new`] funnels through here
+/// so that `boxed_clone`-per-source-per-replication stops redoing the
+/// O(n log n) embedding FFT; clones of the returned generator share the
+/// spectrum `Arc`.
+fn cached_circulant<F>(key: SpectrumKey, build: F) -> CirculantGenerator
 where
     F: FnOnce() -> CirculantGenerator,
 {
@@ -126,10 +121,9 @@ impl Default for CirculantScratch {
 /// Generic circulant-embedding block generator: exact stationary Gaussian
 /// samples for **any** positive-semi-definite autocovariance prefix.
 ///
-/// Shared by [`FgnGenerator`] and the F-ARIMA model
-/// ([`crate::farima::FarimaProcess`]); construction fails loudly if the
-/// supplied sequence does not embed (a genuinely negative circulant
-/// eigenvalue), which for practical LRD families does not happen.
+/// Backs [`FgnGenerator`]; construction fails loudly if the supplied
+/// sequence does not embed (a genuinely negative circulant eigenvalue),
+/// which for practical LRD families does not happen.
 ///
 /// The spectrum and the FFT plan live behind `Arc`s, so clones are cheap
 /// and share all precomputed state.
@@ -197,7 +191,7 @@ impl CirculantGenerator {
 
     /// Builds a generator around an already-computed spectrum (length `2n`);
     /// used by the spectrum cache to share setup work across instances.
-    pub(crate) fn from_spectrum(spectrum_sqrt: Arc<Vec<f64>>) -> Self {
+    fn from_spectrum(spectrum_sqrt: Arc<Vec<f64>>) -> Self {
         let two_n = spectrum_sqrt.len();
         assert!(
             two_n >= 8 && two_n.is_power_of_two(),
@@ -361,7 +355,7 @@ impl FgnGenerator {
     pub fn new(h: f64, g: f64, block_len: usize) -> Self {
         assert!(h > 0.5 && h < 1.0, "H must be in (0.5, 1), got {h}");
         assert!(g > 0.0 && g <= 1.0, "g must be in (0, 1], got {g}");
-        let inner = cached_circulant((FAMILY_FGN, h.to_bits(), g.to_bits(), block_len), || {
+        let inner = cached_circulant((h.to_bits(), g.to_bits(), block_len), || {
             let two_h = 2.0 * h;
             let autocov: Vec<f64> = (0..=block_len)
                 .map(|k| exact_lrd_autocov(g, two_h, k))

@@ -26,14 +26,6 @@
 //! * [`iid::IidProcess`] — white (lag-independent) frames, the H = ½ anchor.
 //! * [`fgn::FgnProcess`] — exact fractional Gaussian noise by Davies–Harte
 //!   circulant embedding, the canonical exact-LRD reference process.
-//! * [`farima::FarimaProcess`] — F-ARIMA(0,d,0), the paper's §2 example of
-//!   an *asymptotic* LRD process (closed-form ACF, circulant generation).
-//! * [`markov_onoff::MarkovOnOff`] — the exponential-sojourn twin of the
-//!   FBNDP (classical Markov ATM source): same construction, same first two
-//!   moments, geometric ACF — the control case proving the LRD comes from
-//!   the sojourn tail.
-//! * [`mpeg::MpegGopModel`] — a GOP-structured MPEG source (extension; the
-//!   paper's §6.2 names MPEG CTS analysis as ongoing work).
 //! * [`clegg::CleggProcess`] — Clegg–Dodson Markov-chain LRD generator:
 //!   superposed binary chains with discrete-Pareto (Zipf-tail) sojourns,
 //!   H = (3 − γ)/2, exact renewal-parity ACF — a *Markov* construction that
@@ -54,13 +46,10 @@ pub mod ar;
 pub mod clegg;
 pub mod dar;
 pub mod error;
-pub mod farima;
 pub mod fbndp;
 pub mod fgn;
 pub mod iid;
 pub mod marginal;
-pub mod markov_onoff;
-pub mod mpeg;
 pub mod mwm;
 pub mod onoff;
 pub mod superpose;
@@ -70,13 +59,10 @@ pub use ar::GaussianAr1;
 pub use clegg::{CleggParams, CleggProcess};
 pub use dar::{DarParams, DarProcess};
 pub use error::ModelError;
-pub use farima::{farima_acf, FarimaProcess};
 pub use fbndp::{Fbndp, FbndpParams};
 pub use fgn::{CirculantGenerator, CirculantScratch, FgnGenerator, FgnProcess};
 pub use iid::IidProcess;
 pub use marginal::Marginal;
-pub use markov_onoff::{MarkovOnOff, MarkovOnOffParams};
-pub use mpeg::{GopPattern, MpegGopModel};
 pub use mwm::{MwmParams, MwmProcess};
 pub use onoff::{FractalOnOff, HeavyTailedSojourn};
 pub use superpose::Superposition;

@@ -172,7 +172,7 @@ fn ziggurat_tables() -> &'static ZigguratTables {
 /// and division per pair.
 ///
 /// Gaussian AR(1) draws its innovations here. [`Normal`] keeps the polar
-/// method for every other model (the Gaussian DAR marginals, FGN, MPEG) so
+/// method for every other model (the Gaussian DAR marginals, FGN) so
 /// that their seed-pinned draw sequences stay put until the statistical
 /// paper-claim gates land (ROADMAP item 3); ROADMAP item 4 then moves
 /// [`Normal`] onto this sampler and deletes the polar method.

@@ -210,19 +210,16 @@ fn one_runner_path_for_homogeneous_runs_and_mixes() {
 /// The batched-generation contract from the pipeline PR: `fill_frames` must
 /// be **bit-identical** to repeated `next_frame` for every model in the
 /// workspace — same values, same RNG draw order. Chunk sizes are chosen to
-/// straddle circulant block boundaries (the FGN/F-ARIMA refill path), hit
+/// straddle circulant block boundaries (the FGN refill path), hit
 /// the single-frame degenerate case, and exercise large batches.
 #[test]
 fn fill_frames_bit_identical_to_next_frame_for_every_model() {
     use rand::RngCore;
     use vbr_models::{
-        CleggParams, CleggProcess, FarimaProcess, FgnProcess, GaussianAr1, GopPattern, IidProcess,
-        Marginal, MarkovOnOff, MarkovOnOffParams, MpegGopModel, MwmParams, MwmProcess,
+        CleggParams, CleggProcess, FgnProcess, GaussianAr1, IidProcess, Marginal, MwmParams,
+        MwmProcess,
     };
 
-    let markov = MarkovOnOff::new(MarkovOnOffParams::from_frame_targets(
-        500.0, 5_000.0, 30, 0.04,
-    ));
     let trace = vbr_sim::TraceProcess::new(
         (0..37).map(|i| 400.0 + 10.0 * i as f64).collect(),
         "synthetic-trace",
@@ -232,7 +229,6 @@ fn fill_frames_bit_identical_to_next_frame_for_every_model() {
     let models: Vec<Box<dyn FrameProcess>> = vec![
         Box::new(FgnProcess::new(500.0, 70.0, 0.9, 1.0, 64)),
         Box::new(FgnProcess::new(500.0, 70.0, 0.75, 0.6, 64)),
-        Box::new(FarimaProcess::from_hurst(500.0, 70.0, 0.85, 64)),
         Box::new(paper::build_z(0.975)),
         Box::new(paper::build_v(9.0)),
         Box::new(paper::build_s(0.975, 2)),
@@ -242,13 +238,6 @@ fn fill_frames_bit_identical_to_next_frame_for_every_model() {
             mean: 500.0,
             sd: 70.0,
         })),
-        Box::new(markov),
-        Box::new(MpegGopModel::new(
-            GopPattern::canonical(500.0),
-            0.9,
-            0.3,
-            10.0,
-        )),
         Box::new(trace),
         Box::new(CleggProcess::new(CleggParams {
             h: 0.8,

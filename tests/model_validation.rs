@@ -3,8 +3,8 @@
 //!
 //! Three layers of checks, all on fixed seeds so CI is deterministic:
 //!
-//! 1. **Hurst recovery** — models parameterized by a target H (FGN, F-ARIMA,
-//!    the Clegg chain, the MWM cascade) must yield path estimates near that
+//! 1. **Hurst recovery** — models parameterized by a target H (FGN, the
+//!    Clegg chain, the MWM cascade) must yield path estimates near that
 //!    H under both a time-domain estimator (R/S) and a frequency-domain one
 //!    (local Whittle); short-range models must *not* masquerade as LRD.
 //! 2. **Marginal law** — exactly-Gaussian models pass a KS test against
@@ -21,7 +21,7 @@ mod common;
 
 use common::{at_99, claim_config};
 use lrd_video::prelude::*;
-use vbr_models::{FarimaProcess, FgnProcess, IidProcess, Marginal};
+use vbr_models::{FgnProcess, IidProcess, Marginal};
 use vbr_stats::rng::Xoshiro256PlusPlus;
 use vbr_stats::dist::ziggurat_standard_normal;
 use vbr_stats::{ks_test, local_whittle_hurst, normal_cdf, normal_sf, rs_hurst, Moments};
@@ -44,11 +44,7 @@ fn lrd_models_recover_their_configured_hurst() {
     // parameter — the estimate must come back near the dial setting.
     let cases: Vec<(Box<dyn FrameProcess>, f64, u64)> = vec![
         (Box::new(FgnProcess::new(500.0, 70.0, 0.8, 1.0, 1024)), 0.8, 11),
-        (
-            Box::new(FarimaProcess::from_hurst(500.0, 70.0, 0.85, 1024)),
-            0.85,
-            12,
-        ),
+        (Box::new(FgnProcess::new(500.0, 70.0, 0.85, 1.0, 1024)), 0.85, 12),
         (Box::new(paper::build_clegg(0.8)), 0.8, 13),
         (Box::new(paper::build_mwm(0.8)), 0.8, 14),
     ];
@@ -125,11 +121,6 @@ fn gaussian_marginal_models_pass_a_ks_test() {
         // the KS null actually applies. (At H = 0.85 the residual lag-128
         // correlation is ~0.14 and the test rejects a correct marginal.)
         (Box::new(FgnProcess::new(500.0, 70.0, 0.7, 1.0, 1024)), 256, 33),
-        (
-            Box::new(FarimaProcess::from_hurst(500.0, 70.0, 0.7, 1024)),
-            256,
-            34,
-        ),
     ];
     for (proto, stride, seed) in &cases {
         let path = sample_path(proto.as_ref(), *seed, N);
@@ -205,7 +196,6 @@ fn analytic_acfs_are_valid_and_decay_by_class() {
     let lags = 512;
     let all: Vec<Box<dyn FrameProcess>> = vec![
         Box::new(FgnProcess::new(500.0, 70.0, 0.8, 1.0, 1024)),
-        Box::new(FarimaProcess::from_hurst(500.0, 70.0, 0.85, 1024)),
         Box::new(paper::build_l()),
         Box::new(paper::build_z(0.975)),
         Box::new(paper::build_v(9.0)),

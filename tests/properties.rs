@@ -456,48 +456,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// F-ARIMA ACF is a valid, positive, decreasing correlation sequence
-    /// for every d, and Levinson accepts it (PSD check).
-    #[test]
-    fn farima_acf_validity(d in 0.01f64..0.49) {
-        let acf = vbr_models::farima_acf(d, 128);
-        prop_assert!((acf[0] - 1.0).abs() < 1e-12);
-        for w in acf.windows(2) {
-            prop_assert!(w[1] > 0.0 && w[1] < w[0]);
-        }
-        prop_assert!(levinson_durbin(&acf[..32]).is_some());
-    }
-
-    /// MarkovOnOff target solver: mean/variance round-trip over a wide
-    /// parameter box, and the ACF is geometric.
-    #[test]
-    fn markov_onoff_solver_roundtrip(
-        mean in 50.0f64..1000.0,
-        over in 1.2f64..12.0,
-        m in 2usize..40,
-    ) {
-        use vbr_models::{MarkovOnOff, MarkovOnOffParams};
-        let variance = mean * over;
-        // Feasibility envelope: Var <= mean + mean^2/M (the frozen-state
-        // nu -> 0 limit); stay safely inside it.
-        prop_assume!(variance < mean + mean * mean / m as f64 * 0.9);
-        let params = MarkovOnOffParams::from_frame_targets(mean, variance, m, 0.04);
-        prop_assert!((params.frame_mean() - mean).abs() < 1e-6 * mean);
-        prop_assert!((params.frame_variance() - variance).abs() < 1e-3 * variance);
-        let model = MarkovOnOff::new(params);
-        let r = model.autocorrelations(10);
-        let q1 = r[2] / r[1];
-        for k in 2..10 {
-            // Fast switching can underflow the tail to 0; ratios are only
-            // meaningful while the ACF is numerically alive.
-            if r[k - 1] < 1e-100 {
-                break;
-            }
-            let q = r[k] / r[k - 1];
-            prop_assert!((q - q1).abs() < 1e-6 * q1.max(1e-6), "geometric ratio breaks at {}", k);
-        }
-    }
-
     /// Clegg parameter validation: `try_new` accepts exactly the box
     /// H in (0.5, 1), chains >= 1, mean > 0, sd > 0 — and rejects every
     /// perturbation out of it.
