@@ -22,29 +22,20 @@
 //!    *exact-LRD* sources (Weibull decay `exp(−const·B^{2−2H})`), plus the
 //!    CTS growth slopes `m*_b ≈ H·b/((1−H)(c−μ))` (LRD) and `b/(c−μ)`
 //!    (AR(1)) derived in the appendix.
-//! 6. [`bandwidth`] — effective-bandwidth and connection-admission-control
-//!    helpers built on the asymptotics (the paper's motivating application).
-//! 7. [`dimensioning`] — the provisioning inverses: smallest buffer (or
+//! 6. [`dimensioning`] — the provisioning inverses: smallest buffer (or
 //!    bandwidth) meeting a loss target.
-//! 8. [`spectral`] — the frequency-domain face of the CTS (paper §6.2):
-//!    input power spectra from the ACF and the Li–Hwang-style cutoff
-//!    correspondence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bandwidth;
 pub mod bop;
 pub mod dimensioning;
-pub mod spectral;
 pub mod cts;
 pub mod stats;
 pub mod variance;
 pub mod weibull;
 
-pub use bandwidth::{gaussian_effective_bandwidth, max_admissible_sources, Asymptotic};
 pub use dimensioning::{required_bandwidth, required_buffer};
-pub use spectral::{cts_cutoff_frequency, power_spectrum, spectral_mass_below};
 pub use bop::{bahadur_rao_bop, bop_curve, large_n_bop, BopPoint};
 pub use cts::{critical_time_scale, rate_function, CtsResult};
 pub use stats::SourceStats;

@@ -61,9 +61,9 @@ pub mod prelude {
     pub use crate::report::{ReportConfig, TrafficReport};
     pub use vbr_asymptotics::bop::{buffer_delay_ms, buffer_from_delay_ms, Flavor};
     pub use vbr_asymptotics::{
-        bahadur_rao_bop, bop_curve, critical_time_scale, large_n_bop, max_admissible_sources,
-        rate_function, required_bandwidth, required_buffer, weibull_lrd_bop, Asymptotic,
-        CtsResult, SourceStats, VarianceFunction,
+        bahadur_rao_bop, bop_curve, critical_time_scale, large_n_bop, rate_function,
+        required_bandwidth, required_buffer, weibull_lrd_bop, CtsResult, SourceStats,
+        VarianceFunction,
     };
     pub use vbr_models::{
         CleggParams, CleggProcess, DarParams, DarProcess, Fbndp, FbndpParams, FrameProcess,

@@ -15,8 +15,7 @@
 //!
 //! To produce frame sizes with the paper's marginal, `M` independent chains
 //! are superposed and the ON-count is mapped affinely onto the target
-//! mean/sd — the same moment-matching transform the FGN model uses
-//! (`x = mean + sd·z`). The count of `M` fair ON/OFF chains has mean
+//! mean/sd (`x = mean + sd·z`). The count of `M` fair ON/OFF chains has mean
 //! `M/2` and variance `M/4`, so `x = mean + 2·sd·(S − M/2)/√M` matches both
 //! moments exactly, and for `M ≳ 15` the marginal is Gaussian to good
 //! approximation (the same CLT argument the paper's FBNDP superposition

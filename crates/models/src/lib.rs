@@ -24,8 +24,6 @@
 //!   builds the paper's `Z^a` and `V^v` (FBNDP + DAR(1)) composites.
 //! * [`ar::GaussianAr1`] — the Gaussian AR(1) baseline (Addie et al.).
 //! * [`iid::IidProcess`] — white (lag-independent) frames, the H = ½ anchor.
-//! * [`fgn::FgnProcess`] — exact fractional Gaussian noise by Davies–Harte
-//!   circulant embedding, the canonical exact-LRD reference process.
 //! * [`clegg::CleggProcess`] — Clegg–Dodson Markov-chain LRD generator:
 //!   superposed binary chains with discrete-Pareto (Zipf-tail) sojourns,
 //!   H = (3 − γ)/2, exact renewal-parity ACF — a *Markov* construction that
@@ -47,7 +45,6 @@ pub mod clegg;
 pub mod dar;
 pub mod error;
 pub mod fbndp;
-pub mod fgn;
 pub mod iid;
 pub mod marginal;
 pub mod mwm;
@@ -60,7 +57,6 @@ pub use clegg::{CleggParams, CleggProcess};
 pub use dar::{DarParams, DarProcess};
 pub use error::ModelError;
 pub use fbndp::{Fbndp, FbndpParams};
-pub use fgn::{CirculantGenerator, CirculantScratch, FgnGenerator, FgnProcess};
 pub use iid::IidProcess;
 pub use marginal::Marginal;
 pub use mwm::{MwmParams, MwmProcess};

@@ -21,12 +21,12 @@
 //! Synthesis goes through [`vbr_stats::wavelet::haar_synthesize_level`] one
 //! level at a time — the cascade needs each level's scaling coefficients to
 //! scale its multipliers — and a whole block of `2^J` frames is generated
-//! into an internal buffer, exactly like the Davies–Harte FGN process. The
-//! model is first-order stationary (every frame has the same mean and
-//! variance) but, like every block cascade, only cyclo-stationary in its
-//! correlations; [`autocorrelations`](crate::FrameProcess::autocorrelations)
-//! returns the exact position-averaged ACF, which is what a sample ACF over
-//! a long path estimates.
+//! into an internal buffer. The model is first-order stationary (every
+//! frame has the same mean and variance) but, like every block cascade,
+//! only cyclo-stationary in its correlations;
+//! [`autocorrelations`](crate::FrameProcess::autocorrelations) returns the
+//! exact position-averaged ACF, which is what a sample ACF over a long path
+//! estimates.
 
 use crate::error::ModelError;
 use crate::traits::FrameProcess;

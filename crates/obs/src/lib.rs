@@ -10,7 +10,7 @@
 //! are a *correctness* tool, not ops polish. This crate makes every run
 //! inspectable without perturbing it:
 //!
-//! * [`mod@span`] — scoped wall-clock timers (`span!("fgn.synthesize")`) with
+//! * [`mod@span`] — scoped wall-clock timers (`span!("mwm.synthesize")`) with
 //!   nesting, aggregated per stage into call-count / total-time tables.
 //!   Thread-local, lock-free on the recording path, and literally one
 //!   thread-local read + branch when disabled.

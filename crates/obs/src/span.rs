@@ -9,7 +9,7 @@
 //! installed — the default, and the state of every run without a recorder —
 //! [`enter`] is a single thread-local read and a branch: no clock is read,
 //! nothing allocates, nothing is written. That is what makes it safe to
-//! leave `span!` calls in hot paths (the replication batch loop, the FGN
+//! leave `span!` calls in hot paths (the replication batch loop, the MWM
 //! synthesis refill) permanently.
 //!
 //! The collector is per-thread by design: the replication harness fans out
@@ -191,7 +191,7 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Enters a scoped span timer: `let _s = span!("fgn.synthesize");`.
+/// Enters a scoped span timer: `let _s = span!("mwm.synthesize");`.
 ///
 /// Free when no collector is installed on the thread (see [`enter`]).
 #[macro_export]

@@ -69,17 +69,21 @@ impl TraceProcess {
                 frames.len()
             )));
         }
-        if let Some((i, &x)) = frames
-            .iter()
-            .enumerate()
-            .find(|(_, x)| !(x.is_finite() && **x >= 0.0))
-        {
-            return Err(invalid(format!("frame {i} has invalid size {x}")));
+        // A constant trace must be caught exactly: its mean need not round
+        // back to the value, which leaves a variance of ~1e-30 and a
+        // spurious ACF instead of zero.
+        let first = frames[0];
+        let mut constant = true;
+        for (i, &x) in frames.iter().enumerate() {
+            if !(x.is_finite() && x >= 0.0) {
+                return Err(invalid(format!("frame {i} has invalid size {x}")));
+            }
+            constant &= x == first;
         }
         let n = frames.len() as f64;
         let mean = frames.iter().sum::<f64>() / n;
         let variance = frames.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        if variance <= 0.0 {
+        if constant || variance <= 0.0 {
             return Err(invalid(
                 "constant trace has no correlation structure".into(),
             ));
@@ -307,6 +311,17 @@ mod tests {
             cts_trace.m_star,
             cts_model.m_star
         );
+    }
+
+    #[test]
+    fn rejects_constant_traces_whose_mean_does_not_round_back() {
+        // Each of these has a floating-point mean that differs from the
+        // value, so its computed variance is tiny but positive.
+        for frames in [vec![0.1; 3], vec![0.7; 7], vec![0.3; 100_000]] {
+            let len = frames.len();
+            let err = TraceProcess::try_new(frames, "flat", 1).expect_err("constant trace");
+            assert!(err.to_string().contains("constant trace"), "len {len}: {err}");
+        }
     }
 
     #[test]

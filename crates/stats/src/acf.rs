@@ -21,6 +21,13 @@ use crate::fft::{next_pow2, plan, Complex};
 /// accumulate passes, not the transforms, the main cost.
 const BLOCK_FLOOR: usize = 1024;
 
+/// True if every value equals the first. Tested exactly, because a constant
+/// series' mean need not round back to the value, and the rounding residue
+/// then passes for a tiny positive variance.
+fn is_constant(series: &[f64]) -> bool {
+    series.iter().all(|&x| x == series[0])
+}
+
 /// Direct sample autocorrelation at lags `0..=max_lag`.
 ///
 /// `r̂(k) = Σ_{t} (x_t − x̄)(x_{t+k} − x̄) / Σ_t (x_t − x̄)²`.
@@ -32,6 +39,7 @@ pub fn sample_acf(series: &[f64], max_lag: usize) -> Vec<f64> {
     let n = series.len();
     assert!(n >= 2, "ACF needs at least 2 observations");
     assert!(max_lag < n, "max_lag {max_lag} must be < n {n}");
+    assert!(!is_constant(series), "ACF of a constant series is undefined");
     let mean = series.iter().sum::<f64>() / n as f64;
     let c0: f64 = series.iter().map(|&x| (x - mean).powi(2)).sum();
     assert!(c0 > 0.0, "ACF of a constant series is undefined");
@@ -72,6 +80,7 @@ pub fn sample_acf_fft(series: &[f64], max_lag: usize) -> Vec<f64> {
     let n = series.len();
     assert!(n >= 2, "ACF needs at least 2 observations");
     assert!(max_lag < n, "max_lag {max_lag} must be < n {n}");
+    assert!(!is_constant(series), "ACF of a constant series is undefined");
     let mean = series.iter().sum::<f64>() / n as f64;
 
     let l = next_pow2((max_lag + 1).max(BLOCK_FLOOR.min(n)));
@@ -288,6 +297,18 @@ mod tests {
     #[should_panic]
     fn acf_rejects_constant() {
         sample_acf(&[2.0, 2.0, 2.0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "constant series")]
+    fn acf_rejects_constant_whose_mean_does_not_round_back() {
+        sample_acf(&[0.1; 3], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "constant series")]
+    fn acf_fft_rejects_constant_whose_mean_does_not_round_back() {
+        sample_acf_fft(&[0.7; 7], 1);
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl Normal {
         self.mean + self.sd * self.standard(rng)
     }
 
-    /// True if a spare deviate from the polar method is cached — i.e. an
-    /// odd number of standard draws has been served since construction.
-    /// Lets callers that rely on draw alignment assert the invariant.
-    pub fn has_spare(&self) -> bool {
-        self.spare.is_some()
-    }
-
     /// Draws one standard-normal variate.
     pub fn standard<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if let Some(z) = self.spare.take() {
@@ -77,45 +70,6 @@ impl Normal {
                 self.spare = Some(v * mul);
                 return u * mul;
             }
-        }
-    }
-
-    /// Fills `out` with standard-normal variates, identical in values and
-    /// RNG consumption to calling [`standard`](Self::standard) `out.len()`
-    /// times. Each accepted polar pair is written straight into the output,
-    /// so bulk generation skips the per-call spare store/take round-trip;
-    /// only a leading cached spare or a trailing odd element goes through
-    /// the scalar path.
-    pub fn fill_standard<R: Rng + ?Sized>(&mut self, out: &mut [f64], rng: &mut R) {
-        let mut rest: &mut [f64] = out;
-        if let Some(z) = self.spare.take() {
-            match rest.split_first_mut() {
-                Some((first, tail)) => {
-                    *first = z;
-                    rest = tail;
-                }
-                None => {
-                    self.spare = Some(z);
-                    return;
-                }
-            }
-        }
-        let mut pairs = rest.chunks_exact_mut(2);
-        for pair in &mut pairs {
-            loop {
-                let u = 2.0 * rng.gen::<f64>() - 1.0;
-                let v = 2.0 * rng.gen::<f64>() - 1.0;
-                let s = u * u + v * v;
-                if s > 0.0 && s < 1.0 {
-                    let mul = (-2.0 * s.ln() / s).sqrt();
-                    pair[0] = u * mul;
-                    pair[1] = v * mul;
-                    break;
-                }
-            }
-        }
-        if let [last] = pairs.into_remainder() {
-            *last = self.standard(rng);
         }
     }
 }
@@ -172,7 +126,7 @@ fn ziggurat_tables() -> &'static ZigguratTables {
 /// and division per pair.
 ///
 /// Gaussian AR(1) draws its innovations here. [`Normal`] keeps the polar
-/// method for every other model (the Gaussian DAR marginals, FGN) so
+/// method for every other model (the Gaussian DAR marginals) so
 /// that their seed-pinned draw sequences stay put until the statistical
 /// paper-claim gates land (ROADMAP item 3); ROADMAP item 4 then moves
 /// [`Normal`] onto this sampler and deletes the polar method.
@@ -609,73 +563,6 @@ mod tests {
         let beyond = (0..n).filter(|_| d.sample(&mut r) > 1.96).count();
         let frac = beyond as f64 / n as f64;
         assert!((frac - 0.025).abs() < 0.002, "P(Z>1.96) estimate {frac}");
-    }
-
-    #[test]
-    fn fill_standard_matches_scalar_draws() {
-        // Every fill length (even, odd, zero) and alignment state must
-        // reproduce the scalar draw sequence bit-for-bit and leave the RNG
-        // at the same position — the batched generators rely on this.
-        let lens = [0usize, 1, 2, 3, 8, 31, 64, 2, 0, 5];
-        let mut scalar = Normal::new(0.0, 1.0);
-        let mut batched = Normal::new(0.0, 1.0);
-        let mut rs = rng(42);
-        let mut rb = rng(42);
-        for &len in &lens {
-            let want: Vec<f64> = (0..len).map(|_| scalar.standard(&mut rs)).collect();
-            let mut got = vec![0.0; len];
-            batched.fill_standard(&mut got, &mut rb);
-            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(w.to_bits(), g.to_bits(), "len {len}, draw {i}");
-            }
-            assert_eq!(scalar.has_spare(), batched.has_spare(), "len {len}");
-        }
-        use rand::RngCore;
-        assert_eq!(rs.next_u64(), rb.next_u64(), "RNG positions diverged");
-    }
-
-    #[test]
-    fn fill_standard_moments_and_lag1() {
-        // Statistical acceptance for the bulk path itself: the pair-fill
-        // loop writes both polar deviates of each accepted pair directly,
-        // so a sign or ordering bug there would show up as a non-zero
-        // lag-1 correlation between consecutive outputs even while the
-        // marginal moments stay correct.
-        let mut d = Normal::new(0.0, 1.0);
-        let mut r = rng(0x51A7);
-        let n = 400_001; // odd on purpose: exercises the trailing element
-        let mut out = vec![0.0; n];
-        d.fill_standard(&mut out, &mut r);
-        let (mean, var) = moments(&out);
-        assert!(mean.abs() < 0.006, "fill_standard mean {mean}");
-        assert!((var - 1.0).abs() < 0.01, "fill_standard var {var}");
-        let lag1: f64 = out.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (n - 1) as f64;
-        assert!(lag1.abs() < 0.006, "fill_standard lag-1 correlation {lag1}");
-        // Skewness and excess kurtosis of the standard normal are 0.
-        let skew: f64 = out.iter().map(|&z| z.powi(3)).sum::<f64>() / n as f64;
-        let kurt: f64 = out.iter().map(|&z| z.powi(4)).sum::<f64>() / n as f64 - 3.0;
-        assert!(skew.abs() < 0.02, "fill_standard skewness {skew}");
-        assert!(kurt.abs() < 0.05, "fill_standard excess kurtosis {kurt}");
-    }
-
-    #[test]
-    fn fill_standard_chunked_moments_with_spare_carry() {
-        // Odd-sized chunks force the spare cache across every call
-        // boundary; the concatenated stream must still be iid N(0,1).
-        let mut d = Normal::new(0.0, 1.0);
-        let mut r = rng(0x51A8);
-        let mut out = Vec::with_capacity(300_000);
-        let mut buf = vec![0.0; 37];
-        while out.len() < 300_000 {
-            d.fill_standard(&mut buf, &mut r);
-            out.extend_from_slice(&buf);
-        }
-        let (mean, var) = moments(&out);
-        assert!(mean.abs() < 0.008, "chunked mean {mean}");
-        assert!((var - 1.0).abs() < 0.012, "chunked var {var}");
-        let lag1: f64 =
-            out.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (out.len() - 1) as f64;
-        assert!(lag1.abs() < 0.008, "chunked lag-1 correlation {lag1}");
     }
 
     #[test]

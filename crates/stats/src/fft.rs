@@ -1,9 +1,8 @@
 //! Iterative radix-2 complex FFT with reusable plans.
 //!
-//! Three consumers in the workspace: the blocked sample-autocorrelation
-//! estimator (O(n log K) instead of O(n·K) for K lags), the Davies–Harte
-//! circulant-embedding generator for exact fractional Gaussian noise, and
-//! the [`periodogram`] behind the GPH and Whittle Hurst estimators. All
+//! Two consumers in the workspace: the blocked sample-autocorrelation
+//! estimator (O(n log K) instead of O(n·K) for K lags) and the
+//! [`periodogram`] behind the GPH and local Whittle Hurst estimators. Both
 //! control their own input lengths, so a power-of-two-only transform with an
 //! explicit [`next_pow2`] helper keeps the implementation simple and robust —
 //! the smoltcp school of "simplicity over cleverness". The autocorrelation
@@ -101,10 +100,10 @@ pub fn next_pow2(n: usize) -> usize {
 ///
 /// Building a plan costs one pass of `cos`/`sin` over `n/2` angles; every
 /// [`forward`](FftPlan::forward) / [`inverse`](FftPlan::inverse) after that
-/// runs the butterflies with pure table lookups. Block generators that
-/// transform the same length millions of times (Davies–Harte) hold their
-/// plan in an `Arc`; one-shot callers go through the process-wide cache via
-/// [`fft`] / [`ifft`] / [`plan`].
+/// runs the butterflies with pure table lookups. Callers that transform the
+/// same length many times (the blocked ACF estimator) hold their plan in an
+/// `Arc`; one-shot callers go through the process-wide cache via [`fft`] /
+/// [`ifft`] / [`plan`].
 #[derive(Debug)]
 pub struct FftPlan {
     n: usize,
@@ -148,14 +147,6 @@ impl FftPlan {
     /// Transform length the plan was built for.
     pub fn len(&self) -> usize {
         self.n
-    }
-
-    /// The twiddle table: `twiddles()[k] = e^{-2πik/n}` for `k in 0..n/2`.
-    /// Exposed for half-size real/Hermitian packing: the Davies–Harte
-    /// synthesis consumes `conj` of these as `e^{+2πik/n}` rotation factors
-    /// without materialising a second table.
-    pub fn twiddles(&self) -> &[Complex] {
-        &self.twiddles
     }
 
     /// [`inverse`](Self::inverse) without the `1/n` normalization — for

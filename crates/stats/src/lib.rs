@@ -22,8 +22,7 @@
 //!   replication set), exponential, and Pareto-tail distributions, plus a
 //!   Walker–Vose alias table for categorical draws.
 //! * [`mod@fft`] — an iterative radix-2 complex FFT with real-signal helpers,
-//!   used by the blocked ACF estimator, the periodogram Hurst estimators and
-//!   the Davies–Harte exact fractional-Gaussian-noise generator.
+//!   used by the blocked ACF estimator and the periodogram Hurst estimators.
 //! * [`linalg`] — Levinson–Durbin recursion for symmetric Toeplitz systems
 //!   (the Yule–Walker fit behind DAR(p) matching) and a pivoted Gaussian
 //!   elimination fallback.
@@ -36,8 +35,8 @@
 //!   the Hurst estimators.
 //! * [`ci`] — normal and Student-t confidence intervals for the simulation
 //!   replication harness.
-//! * [`whittle`] — the Whittle MLE Hurst estimator (the one Beran et al.
-//!   used on the original video traces).
+//! * [`whittle`] — Robinson's local Whittle Hurst estimator (Whittle
+//!   estimation is what Beran et al. used on the original video traces).
 //! * [`ks`] — one-sample Kolmogorov–Smirnov test, used to verify that all
 //!   model families really share the paper's Gaussian marginal.
 //! * [`batch`] — batch-means output analysis for correlated simulation
@@ -84,4 +83,4 @@ pub use special::{
 pub use wavelet::{
     haar_decompose, haar_detail_energies, haar_reconstruct, wavelet_hurst, HaarDecomposition,
 };
-pub use whittle::{local_whittle_hurst, whittle_hurst};
+pub use whittle::local_whittle_hurst;

@@ -1,111 +1,22 @@
-//! Whittle maximum-likelihood estimation of the Hurst parameter.
+//! Robinson's local Whittle estimator of the Hurst parameter.
 //!
-//! The estimator Beran et al. used in the study that sparked the LRD-video
-//! debate ("Long-range dependence in VBR video traffic"): fit the fractional
-//! Gaussian noise spectral density to the periodogram by minimizing the
-//! Whittle objective
-//!
-//! ```text
-//! Q(H) = log( (1/m) Σⱼ I(ωⱼ)/f_H(ωⱼ) ) + (1/m) Σⱼ log f_H(ωⱼ)
-//! ```
-//!
-//! (the scale-free form — the variance is profiled out). The FGN spectral
-//! density is the aliased power law
-//!
-//! ```text
-//! f_H(ω) ∝ (1 − cos ω) Σ_{j∈Z} |ω + 2πj|^{−(2H+1)}
-//! ```
-//!
-//! evaluated with a truncated sum plus an integral tail correction. Whittle
-//! is the most statistically efficient of the classical estimators (R/S,
-//! aggregated variance, GPH) and serves as the reference in tests.
+//! Whittle estimation is what Beran et al. used in the study that sparked
+//! the LRD-video debate ("Long-range dependence in VBR video traffic"). The
+//! local (semiparametric) form fits only the low-frequency power law
+//! `f(ω) ∝ ω^{1−2H}` to the periodogram, so it needs no model of the short
+//! lags.
 
 use crate::fft::periodogram;
-
-/// FGN spectral density shape at angular frequency `w ∈ (0, π]`, up to a
-/// constant factor (the Whittle objective is scale-invariant).
-pub fn fgn_spectral_shape(w: f64, h: f64) -> f64 {
-    assert!(w > 0.0 && w <= std::f64::consts::PI + 1e-12, "bad freq {w}");
-    let exponent = 2.0 * h + 1.0;
-    let mut sum = w.powf(-exponent);
-    // Aliases j = ±1..=J, then integral tail: ∫_J^∞ (2πx)^{-e} dx pairs.
-    const J: i32 = 64;
-    for j in 1..=J {
-        let a = (w + 2.0 * std::f64::consts::PI * j as f64).powf(-exponent);
-        let b = (2.0 * std::f64::consts::PI * j as f64 - w).powf(-exponent);
-        sum += a + b;
-    }
-    // Tail correction: Σ_{j>J} [(2πj+w)^-e + (2πj-w)^-e] ≈ 2 ∫_{J+1/2}^∞
-    // (2πx)^-e dx = 2 (2π)^-e (J+1/2)^{1-e}/(e-1).
-    let tail = 2.0 * (2.0 * std::f64::consts::PI).powf(-exponent)
-        * (J as f64 + 0.5).powf(1.0 - exponent)
-        / (exponent - 1.0);
-    sum += tail;
-    2.0 * (1.0 - w.cos()) * sum
-}
-
-/// Whittle estimate of H for a (zero-mean-adjusted internally) series.
-///
-/// Returns the minimizing H in `(0.51, 0.995)` together with the attained
-/// objective. Use at least a few thousand points for a stable estimate.
-///
-/// # Panics
-/// Panics if the series is shorter than 256 points.
-pub fn whittle_hurst(series: &[f64]) -> (f64, f64) {
-    assert!(
-        series.len() >= 256,
-        "Whittle needs >= 256 points, got {}",
-        series.len()
-    );
-    let pg = periodogram(series);
-
-    let objective = |h: f64| -> f64 {
-        let mut ratio_sum = 0.0;
-        let mut log_sum = 0.0;
-        for &(w, i) in &pg {
-            let f = fgn_spectral_shape(w, h);
-            ratio_sum += i / f;
-            log_sum += f.ln();
-        }
-        let m = pg.len() as f64;
-        (ratio_sum / m).ln() + log_sum / m
-    };
-
-    // Golden-section search.
-    let (mut lo, mut hi) = (0.51_f64, 0.995_f64);
-    let phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-    let mut x1 = hi - phi * (hi - lo);
-    let mut x2 = lo + phi * (hi - lo);
-    let mut f1 = objective(x1);
-    let mut f2 = objective(x2);
-    while hi - lo > 1e-5 {
-        if f1 < f2 {
-            hi = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = hi - phi * (hi - lo);
-            f1 = objective(x1);
-        } else {
-            lo = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = lo + phi * (hi - lo);
-            f2 = objective(x2);
-        }
-    }
-    let h = (lo + hi) / 2.0;
-    (h, objective(h))
-}
 
 /// Robinson's **local Whittle** estimator: fits the pure power law
 /// `f(ω) ∝ ω^{1−2H}` over only the lowest `m` Fourier frequencies,
 /// minimizing `R(H) = log((1/m) Σ I_j ω_j^{2H−1}) − (2H−1)(1/m) Σ log ω_j`.
 ///
-/// Unlike the full-band FGN Whittle fit, local Whittle is robust to
-/// arbitrary short-range dynamics (an AR(1) component biases the full-band
-/// fit all the way to the H boundary; it barely moves this one) — which is
-/// the right tool for the paper's `Z^a` models, whose short lags are
-/// dominated by the DAR(1) component.
+/// Unlike a full-band fit of a parametric spectrum, local Whittle is
+/// robust to arbitrary short-range dynamics (an AR(1) component biases a
+/// full-band fractional-Gaussian-noise fit all the way to the H boundary; it
+/// barely moves this one) — which is the right tool for the paper's `Z^a`
+/// models, whose short lags are dominated by the DAR(1) component.
 ///
 /// `m = 0` selects the default bandwidth `⌊n^0.65⌋`.
 ///
@@ -168,47 +79,10 @@ mod tests {
     use crate::rng::Xoshiro256PlusPlus;
 
     #[test]
-    fn spectral_shape_is_positive_and_decreasing() {
-        let h = 0.8;
-        let mut prev = f64::INFINITY;
-        for i in 1..=100 {
-            let w = std::f64::consts::PI * i as f64 / 100.0;
-            let f = fgn_spectral_shape(w, h);
-            assert!(f > 0.0);
-            assert!(f < prev, "FGN spectrum must decrease on (0, pi]");
-            prev = f;
-        }
-    }
-
-    #[test]
-    fn spectral_shape_low_freq_power_law() {
-        // f(w) ~ w^{1-2H} as w -> 0.
-        let h = 0.9;
-        let f1 = fgn_spectral_shape(1e-3, h);
-        let f2 = fgn_spectral_shape(2e-3, h);
-        let slope = (f2 / f1).ln() / 2.0_f64.ln();
-        assert!(
-            (slope - (1.0 - 2.0 * h)).abs() < 0.01,
-            "low-frequency slope {slope} vs {}",
-            1.0 - 2.0 * h
-        );
-    }
-
-    #[test]
-    fn whittle_on_white_noise_pins_low_boundary() {
-        let mut rng = Xoshiro256PlusPlus::from_seed_u64(171);
-        let mut d = Normal::new(0.0, 1.0);
-        let series: Vec<f64> = (0..16_384).map(|_| d.sample(&mut rng)).collect();
-        let (h, _) = whittle_hurst(&series);
-        assert!(h < 0.56, "white noise H estimate {h} should pin near 0.51");
-    }
-
-    #[test]
     fn local_whittle_robust_to_ar1_dynamics() {
-        // AR(1) is SRD: its spectrum is flat at low frequencies. The
-        // full-band FGN-Whittle fit is *misspecified* here and pins to the
-        // boundary (a known pathology); the local Whittle estimator reads
-        // only the low-frequency band and stays near 0.5.
+        // AR(1) is SRD: its spectrum is flat at low frequencies. The local
+        // Whittle estimator reads only the low-frequency band and stays
+        // near 0.5.
         let mut rng = Xoshiro256PlusPlus::from_seed_u64(172);
         let mut d = Normal::new(0.0, 1.0);
         let mut x = 0.0;

@@ -9,7 +9,7 @@
 //! integration tests (`tests/`).
 //!
 //! * [`stats`] — numerics substrate (RNG, distributions, FFT, Hurst, ...)
-//! * [`models`] — VBR traffic models (DAR(p), FBNDP, FGN, superpositions)
+//! * [`models`] — VBR traffic models (DAR(p), FBNDP, superpositions, Clegg chains, MWM)
 //! * [`asymptotics`] — large deviations: V(m), CTS, Bahadur-Rao, Weibull
 //! * [`sim`] — fluid + cell-level multiplexer simulation, replication harness
 //! * [`obs`] — observability: tracing spans, streaming metrics, run telemetry

@@ -236,16 +236,17 @@ fn permanent_failure_quarantines_with_honest_provenance() {
 
 #[test]
 fn supervisor_survives_a_sigkilled_worker() {
-    // Not an injected fault: an actual SIGKILL from outside, aimed at a
-    // worker process mid-shard. Slow the workers down with more frames so
-    // there is a window to hit.
+    // Not an injected crash: an actual SIGKILL from outside. `hang@1` parks
+    // the first attempt at replication 1's start, after replication 0 is
+    // checkpointed, so the kill lands at a known point instead of racing the
+    // run; the long stall timeout leaves the restart to the kill alone.
     let dir = temp_dir("sigkill");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign_run"));
     cmd.args([
         "--replications",
         "2",
         "--frames",
-        "600000",
+        "4000",
         "--shards",
         "1",
         "--threads",
@@ -253,7 +254,7 @@ fn supervisor_survives_a_sigkilled_worker() {
         "--worker-heartbeat-ms",
         "50",
         "--heartbeat-timeout-ms",
-        "4000",
+        "30000",
         "--poll-ms",
         "25",
         "--backoff-base-ms",
@@ -261,30 +262,45 @@ fn supervisor_survives_a_sigkilled_worker() {
         "--dir",
     ])
     .arg(&dir)
-    .env_remove("VBR_FAULT");
+    .env("VBR_FAULT", "hang@1");
     let mut coordinator = cmd
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn coordinator");
 
-    // Find the worker (child of the coordinator running with --worker) and
-    // SIGKILL it once it has had time to start computing.
-    let coord_pid = coordinator.id();
-    let mut killed = false;
-    for _ in 0..200 {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let pgrep = Command::new("pkill")
-            .args(["-9", "-P", &coord_pid.to_string(), "-f", "campaign_run.*--worker"])
-            .status();
-        if matches!(pgrep, Ok(s) if s.success()) {
-            killed = true;
-            break;
-        }
-        if coordinator.try_wait().expect("try_wait").is_some() {
-            break; // finished before we could kill — config too fast
-        }
+    // Wait for the worker to announce replication 1, then SIGKILL it (the
+    // coordinator's child running with --worker).
+    let events = dir.join("shard-0.events.jsonl");
+    let at_rep_1 = || {
+        std::fs::read_to_string(&events).is_ok_and(|text| {
+            text.lines().any(|line| {
+                matches!(
+                    vbr_obs::jsonl::decode_line(line).map(|s| s.event),
+                    Ok(vbr_obs::Event::ReplicationStart { replication: 1, .. })
+                )
+            })
+        })
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !at_rep_1() {
+        assert!(
+            coordinator.try_wait().expect("try_wait").is_none(),
+            "campaign ended before the worker reached replication 1"
+        );
+        assert!(
+            std::time::Instant::now() < deadline,
+            "worker never reached replication 1"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    let coord_pid = coordinator.id().to_string();
+    let killed = Command::new("pkill")
+        .args(["-9", "-P", &coord_pid, "-f", "campaign_run.*--worker"])
+        .status()
+        .expect("run pkill");
+    assert!(killed.success(), "no worker was killed");
+
     let out = coordinator.wait_with_output().expect("coordinator output");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -299,10 +315,9 @@ fn supervisor_survives_a_sigkilled_worker() {
         .to_string();
     assert_eq!(json_scalar(&summary, "completed"), "2", "{summary}");
     assert_eq!(json_scalar(&summary, "partial"), "false", "{summary}");
-    if killed {
-        let restarts: usize = json_scalar(&summary, "restarts").parse().expect("restarts");
-        assert!(restarts >= 1, "killed worker must be restarted: {summary}");
-    }
+    let restarts: usize = json_scalar(&summary, "restarts").parse().expect("restarts");
+    assert!(restarts >= 1, "killed worker must be restarted: {summary}");
+    assert_eq!(json_scalar(&summary, "stalls"), "0", "the kill, not a stall: {summary}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -210,14 +210,13 @@ fn one_runner_path_for_homogeneous_runs_and_mixes() {
 /// The batched-generation contract from the pipeline PR: `fill_frames` must
 /// be **bit-identical** to repeated `next_frame` for every model in the
 /// workspace — same values, same RNG draw order. Chunk sizes are chosen to
-/// straddle circulant block boundaries (the FGN refill path), hit
+/// straddle synthesis block boundaries (the MWM refill path), hit
 /// the single-frame degenerate case, and exercise large batches.
 #[test]
 fn fill_frames_bit_identical_to_next_frame_for_every_model() {
     use rand::RngCore;
     use vbr_models::{
-        CleggParams, CleggProcess, FgnProcess, GaussianAr1, IidProcess, Marginal, MwmParams,
-        MwmProcess,
+        CleggParams, CleggProcess, GaussianAr1, IidProcess, Marginal, MwmParams, MwmProcess,
     };
 
     let trace = vbr_sim::TraceProcess::new(
@@ -225,10 +224,7 @@ fn fill_frames_bit_identical_to_next_frame_for_every_model() {
         "synthetic-trace",
         8,
     );
-    // block_len 64 so chunk sizes below cross several refill boundaries.
     let models: Vec<Box<dyn FrameProcess>> = vec![
-        Box::new(FgnProcess::new(500.0, 70.0, 0.9, 1.0, 64)),
-        Box::new(FgnProcess::new(500.0, 70.0, 0.75, 0.6, 64)),
         Box::new(paper::build_z(0.975)),
         Box::new(paper::build_v(9.0)),
         Box::new(paper::build_s(0.975, 2)),
@@ -254,7 +250,7 @@ fn fill_frames_bit_identical_to_next_frame_for_every_model() {
             levels: 6,
         })),
     ];
-    // Uneven chunks: straddle the 64-frame circulant blocks, include 1-frame
+    // Uneven chunks: straddle the 64-frame MWM blocks, include 1-frame
     // and empty batches, and end mid-block.
     let chunks = [1usize, 7, 64, 0, 129, 5, 300, 1];
     let total: usize = chunks.iter().sum();

@@ -3,8 +3,8 @@
 //!
 //! Three layers of checks, all on fixed seeds so CI is deterministic:
 //!
-//! 1. **Hurst recovery** — models parameterized by a target H (FGN, the
-//!    Clegg chain, the MWM cascade) must yield path estimates near that
+//! 1. **Hurst recovery** — models parameterized by a target H (the Clegg
+//!    chain, the MWM cascade) must yield path estimates near that
 //!    H under both a time-domain estimator (R/S) and a frequency-domain one
 //!    (local Whittle); short-range models must *not* masquerade as LRD.
 //! 2. **Marginal law** — exactly-Gaussian models pass a KS test against
@@ -21,7 +21,7 @@ mod common;
 
 use common::{at_99, claim_config};
 use lrd_video::prelude::*;
-use vbr_models::{FgnProcess, IidProcess, Marginal};
+use vbr_models::{IidProcess, Marginal};
 use vbr_stats::rng::Xoshiro256PlusPlus;
 use vbr_stats::dist::ziggurat_standard_normal;
 use vbr_stats::{ks_test, local_whittle_hurst, normal_cdf, normal_sf, rs_hurst, Moments};
@@ -43,8 +43,8 @@ fn lrd_models_recover_their_configured_hurst() {
     // (prototype, target H, seed). Models whose H is a direct constructor
     // parameter — the estimate must come back near the dial setting.
     let cases: Vec<(Box<dyn FrameProcess>, f64, u64)> = vec![
-        (Box::new(FgnProcess::new(500.0, 70.0, 0.8, 1.0, 1024)), 0.8, 11),
-        (Box::new(FgnProcess::new(500.0, 70.0, 0.85, 1.0, 1024)), 0.85, 12),
+        (Box::new(paper::build_mwm(0.8)), 0.8, 11),
+        (Box::new(paper::build_mwm(0.85)), 0.85, 12),
         (Box::new(paper::build_clegg(0.8)), 0.8, 13),
         (Box::new(paper::build_mwm(0.8)), 0.8, 14),
     ];
@@ -116,11 +116,6 @@ fn gaussian_marginal_models_pass_a_ks_test() {
             31,
         ),
         (Box::new(GaussianAr1::new(500.0, 70.0, 0.8)), 32, 32),
-        // Moderate H for the LRD entries: at H = 0.7 the lag-256 correlation
-        // is ~0.01, so the thinned points are effectively independent and
-        // the KS null actually applies. (At H = 0.85 the residual lag-128
-        // correlation is ~0.14 and the test rejects a correct marginal.)
-        (Box::new(FgnProcess::new(500.0, 70.0, 0.7, 1.0, 1024)), 256, 33),
     ];
     for (proto, stride, seed) in &cases {
         let path = sample_path(proto.as_ref(), *seed, N);
@@ -195,7 +190,6 @@ fn mwm_output_is_non_negative_everywhere() {
 fn analytic_acfs_are_valid_and_decay_by_class() {
     let lags = 512;
     let all: Vec<Box<dyn FrameProcess>> = vec![
-        Box::new(FgnProcess::new(500.0, 70.0, 0.8, 1.0, 1024)),
         Box::new(paper::build_l()),
         Box::new(paper::build_z(0.975)),
         Box::new(paper::build_v(9.0)),
@@ -222,10 +216,7 @@ fn analytic_acfs_are_valid_and_decay_by_class() {
 
     // LRD tails: positive and still alive at lag 256.
     for (proto, floor) in [
-        (
-            Box::new(FgnProcess::new(500.0, 70.0, 0.8, 1.0, 1024)) as Box<dyn FrameProcess>,
-            0.02,
-        ),
+        (Box::new(paper::build_mwm(0.8)) as Box<dyn FrameProcess>, 0.02),
         (Box::new(paper::build_clegg(0.8)), 0.02),
         (Box::new(paper::build_l()), 0.01),
     ] {
